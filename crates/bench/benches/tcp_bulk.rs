@@ -3,7 +3,7 @@
 //! modes. This is the end-to-end view of datapath batching: `off` pays
 //! per-MSS segmentation, per-frame crypto, and one event per frame;
 //! `exact` (the default) keeps the identical event schedule but batches
-//! segmentation and crypto; `merged` also collapses arrivals.
+//! segmentation and crypto.
 
 use bench::datapath::bulk_transfer;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -17,9 +17,7 @@ fn bench_tcp_bulk(c: &mut Criterion) {
     g.sample_size(10);
     g.throughput(Throughput::Bytes(BYTES));
     for (scenario, hip) in [("basic", false), ("hip", true)] {
-        for (name, gso) in
-            [("off", GsoMode::Off), ("exact", GsoMode::Exact), ("merged", GsoMode::Merged)]
-        {
+        for (name, gso) in [("off", GsoMode::Off), ("exact", GsoMode::Exact)] {
             g.bench_function(format!("{scenario}/{name}"), |b| {
                 b.iter(|| bulk_transfer(hip, std::hint::black_box(gso), BYTES, 42))
             });

@@ -31,7 +31,6 @@ use netsim::tcp::TcpEvent;
 use netsim::{Endpoint, LinkParams, Sim, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::any::Any;
 use std::net::IpAddr;
 use std::time::Instant;
 
@@ -75,12 +74,6 @@ impl Node for I2Flooder {
         );
         ctx.set_timer(self.interval, TimerHandle { owner: TimerOwner::Node, token: 1 });
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 struct Pinger {
@@ -96,12 +89,6 @@ impl App for Pinger {
             self.connected_at = Some(api.now());
         }
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 struct Listener;
@@ -110,12 +97,6 @@ impl App for Listener {
         api.tcp_listen(7);
     }
     fn on_event(&mut self, _: AppEvent, _: &mut HostApi) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 fn main() {

@@ -30,7 +30,6 @@ use netsim::{
 };
 use netsim::link::LinkId;
 use netsim::packet::{v4, IcmpKind, IcmpMessage};
-use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -149,12 +148,6 @@ impl Node for Pinger {
             TimerHandle { owner: TimerOwner::Node, token: 0 },
         );
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Echoes every packet straight back.
@@ -166,12 +159,6 @@ impl Node for Echoer {
     fn handle_packet(&mut self, _: usize, pkt: Packet, ctx: &mut Ctx) {
         let reply = Packet::new(pkt.dst, pkt.src, pkt.payload.clone());
         ctx.transmit(self.link, reply);
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

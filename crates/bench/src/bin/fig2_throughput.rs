@@ -12,7 +12,6 @@
 use bench::fig2::{run_cell, run_sweep_cells, CLIENT_COUNTS};
 use bench::report::{bar, manifest, stage_table, table, trace_out, write_csv, write_manifest};
 use netsim::SimDuration;
-use std::time::Instant;
 use websvc::Scenario;
 
 /// Protocol stages reported per scenario (absent stages are skipped —
@@ -42,9 +41,7 @@ fn main() {
         warmup.as_secs_f64(),
         measure.as_secs_f64()
     );
-    let wall_start = Instant::now();
     let cells = run_sweep_cells(seed, warmup, measure);
-    let wall = wall_start.elapsed().as_secs_f64();
     let points: Vec<_> = cells.iter().map(|c| c.point).collect();
 
     let scenarios = [Scenario::Basic, Scenario::HipLsi, Scenario::Ssl];
@@ -69,10 +66,11 @@ fn main() {
     // Per-stage latency quantiles, merged across each scenario's cells.
     for &s in &scenarios {
         let mut merged = obs::MetricsRegistry::new();
-        let mut events = 0u64;
+        let (mut events, mut wall) = (0u64, 0.0);
         for c in cells.iter().filter(|c| c.point.scenario == s) {
             merged.merge(&c.metrics);
             events += c.dispatched;
+            wall += c.wall_secs;
         }
         println!("per-stage latency, {} (all client counts merged):", s.label());
         match stage_table(&merged, &STAGES) {

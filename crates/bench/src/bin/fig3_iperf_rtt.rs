@@ -8,7 +8,6 @@
 use bench::fig3::{rtt_obs, run_all_cells, Fig3Mode};
 use bench::report::{bar, manifest, table, trace_out, write_csv, write_manifest};
 use netsim::SimDuration;
-use std::time::Instant;
 
 fn main() {
     let seed = 42u64;
@@ -18,9 +17,7 @@ fn main() {
         "fig3: iperf ({}s transfer) + 20-ping RTT across 6 modes (parallel)...",
         duration.as_secs_f64()
     );
-    let wall_start = Instant::now();
     let cells = run_all_cells(seed, duration, 20);
-    let wall = wall_start.elapsed().as_secs_f64();
     let points: Vec<_> = cells.iter().map(|c| c.point).collect();
 
     let rows: Vec<Vec<String>> = points
@@ -45,7 +42,7 @@ fn main() {
             .num("ping_count", 20)
             .num("iperf_mbits", format!("{:.2}", c.point.mbits))
             .num("rtt_ms", format!("{:.3}", c.point.rtt_ms));
-        match write_manifest(m, wall, c.dispatched, &c.metrics) {
+        match write_manifest(m, c.wall_secs, c.dispatched, &c.metrics) {
             Ok(path) => eprintln!("wrote {}", path.display()),
             Err(e) => eprintln!("manifest write failed: {e}"),
         }

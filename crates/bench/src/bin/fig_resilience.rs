@@ -10,7 +10,6 @@
 
 use bench::report::{bar, manifest, table, write_csv, write_manifest};
 use bench::resilience::{run_sweep, timeline_json, Storyline, CLIENTS};
-use std::time::Instant;
 
 fn main() {
     let seed = 42u64;
@@ -24,9 +23,7 @@ fn main() {
         story.burst_at.as_secs_f64(),
         story.partition_at.as_secs_f64(),
     );
-    let wall_start = Instant::now();
     let cells = run_sweep(seed, story);
-    let wall = wall_start.elapsed().as_secs_f64();
 
     let fmt_ttr = |t: Option<u64>| t.map_or("never".to_string(), |s| format!("{s}s"));
     let mut rows = Vec::new();
@@ -121,7 +118,7 @@ fn main() {
             .num("proxy_unavailable", p.proxy.unavailable)
             .num("hip_rebex", p.rebex)
             .raw("timeline", timeline_json(&c.timeline));
-        match write_manifest(m, wall, c.dispatched, &c.metrics) {
+        match write_manifest(m, c.wall_secs, c.dispatched, &c.metrics) {
             Ok(path) => eprintln!("wrote {}", path.display()),
             Err(e) => eprintln!("manifest write failed: {e}"),
         }

@@ -11,7 +11,6 @@
 use bench::report::{manifest, stage_table, table, trace_out, write_csv, write_manifest};
 use bench::tab_rt::{run_all_cells, run_cell, PAPER_RATE};
 use netsim::SimDuration;
-use std::time::Instant;
 use websvc::Scenario;
 
 const STAGES: [&str; 7] = [
@@ -37,9 +36,7 @@ fn main() {
         warmup.as_secs_f64(),
         measure.as_secs_f64()
     );
-    let wall_start = Instant::now();
     let cells = run_all_cells(PAPER_RATE, seed, warmup, measure);
-    let wall = wall_start.elapsed().as_secs_f64();
     let rows: Vec<_> = cells.iter().map(|c| c.row).collect();
     let paper = [("Basic", 116.4), ("HIP", 132.2), ("SSL", 128.3)];
     let table_rows: Vec<Vec<String>> = rows
@@ -86,7 +83,7 @@ fn main() {
             .num("warmup_secs", warmup.as_secs_f64())
             .num("measure_secs", measure.as_secs_f64())
             .num("completed", c.row.completed);
-        match write_manifest(m, wall, c.dispatched, &c.metrics) {
+        match write_manifest(m, c.wall_secs, c.dispatched, &c.metrics) {
             Ok(path) => eprintln!("wrote {}", path.display()),
             Err(e) => eprintln!("manifest write failed: {e}"),
         }

@@ -8,6 +8,7 @@
 
 use cloudsim::Flavor;
 use netsim::{SimDuration, SimTime};
+use std::time::Instant;
 use websvc::deploy::{deploy_rubis, RubisConfig};
 use websvc::loadgen::JmeterApp;
 use websvc::rubis::WorkloadMix;
@@ -41,6 +42,9 @@ pub struct Fig2Cell {
     pub dispatched: u64,
     /// Typed trace of the run (disabled unless requested).
     pub trace: netsim::trace::Trace,
+    /// Host wall-clock seconds this cell took on its sweep worker.
+    /// Host time: never part of a determinism comparison.
+    pub wall_secs: f64,
 }
 
 /// Runs one (scenario, clients) cell, returning metrics and (when
@@ -53,6 +57,7 @@ pub fn run_cell(
     measure: SimDuration,
     trace_cap: usize,
 ) -> Fig2Cell {
+    let started = Instant::now();
     let cfg = RubisConfig::fig2(scenario, seed);
     let (users, items) = (cfg.users, cfg.items);
     let mut dep = deploy_rubis(cfg);
@@ -77,6 +82,7 @@ pub fn run_cell(
         metrics: dep.topo.sim.take_metrics(),
         dispatched,
         trace: std::mem::replace(&mut dep.topo.sim.trace, netsim::trace::Trace::disabled()),
+        wall_secs: started.elapsed().as_secs_f64(),
     }
 }
 

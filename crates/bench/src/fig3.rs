@@ -18,6 +18,7 @@ use netsim::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::{IpAddr, Ipv4Addr};
+use std::time::Instant;
 use websvc::loadgen::{IperfClientApp, IperfServerApp, PingApp};
 
 /// The six bars of Figure 3, in the paper's x-axis order.
@@ -238,6 +239,9 @@ pub struct Fig3Cell {
     pub metrics: obs::MetricsRegistry,
     /// Combined dispatched-event count of both simulations.
     pub dispatched: u64,
+    /// Host wall-clock seconds this cell took on its sweep worker.
+    /// Host time: never part of a determinism comparison.
+    pub wall_secs: f64,
 }
 
 /// Runs the complete Figure 3 (both series, all modes, in parallel).
@@ -249,6 +253,7 @@ pub fn run_all(seed: u64, iperf_duration: SimDuration, ping_count: u16) -> Vec<F
 /// Like [`run_all`] but keeps each mode's merged metrics registry.
 pub fn run_all_cells(seed: u64, iperf_duration: SimDuration, ping_count: u16) -> Vec<Fig3Cell> {
     crate::sweep::par_sweep(&Fig3Mode::ALL, |&mode| {
+        let started = Instant::now();
         let (mbits, mut metrics, d1) = iperf_obs(mode, seed, iperf_duration);
         let ((rtt_ms, received), rtt_metrics, d2, _) = rtt_obs(mode, seed ^ 1, ping_count, 0);
         metrics.merge(&rtt_metrics);
@@ -256,6 +261,7 @@ pub fn run_all_cells(seed: u64, iperf_duration: SimDuration, ping_count: u16) ->
             point: Fig3Point { mode, mbits, rtt_ms, pings_received: received },
             metrics,
             dispatched: d1 + d2,
+            wall_secs: started.elapsed().as_secs_f64(),
         }
     })
 }

@@ -23,6 +23,7 @@
 
 use cloudsim::Flavor;
 use netsim::{FaultAction, SimDuration, SimTime};
+use std::time::Instant;
 use websvc::deploy::{deploy_rubis, RubisConfig};
 use websvc::loadgen::{JmeterApp, Timeline};
 use websvc::proxy::ProxyApp;
@@ -131,6 +132,9 @@ pub struct ResilienceCell {
     pub metrics: obs::MetricsRegistry,
     /// Events dispatched by the simulation.
     pub dispatched: u64,
+    /// Host wall-clock seconds this cell took on its sweep worker.
+    /// Host time: never part of a determinism comparison.
+    pub wall_secs: f64,
 }
 
 /// Mean goodput over the warm, pre-fault buckets (bucket 0 is skipped:
@@ -156,6 +160,7 @@ pub fn time_to_recover(tl: &Timeline, baseline: f64, onset_s: usize) -> Option<u
 
 /// Runs one scenario through the storyline.
 pub fn run_cell(scenario: Scenario, seed: u64, story: Storyline) -> ResilienceCell {
+    let started = Instant::now();
     let cfg = RubisConfig::fig2(scenario, seed);
     let (users, items) = (cfg.users, cfg.items);
     let mut dep = deploy_rubis(cfg);
@@ -231,6 +236,7 @@ pub fn run_cell(scenario: Scenario, seed: u64, story: Storyline) -> ResilienceCe
         timeline,
         metrics,
         dispatched,
+        wall_secs: started.elapsed().as_secs_f64(),
     }
 }
 

@@ -9,6 +9,7 @@
 
 use cloudsim::Flavor;
 use netsim::{SimDuration, SimTime};
+use std::time::Instant;
 use websvc::deploy::{deploy_rubis, RubisConfig};
 use websvc::loadgen::HttperfApp;
 use websvc::rubis::WorkloadMix;
@@ -44,6 +45,9 @@ pub struct TabRtCell {
     pub dispatched: u64,
     /// Typed trace of the run (disabled unless requested).
     pub trace: netsim::trace::Trace,
+    /// Host wall-clock seconds this cell took on its sweep worker.
+    /// Host time: never part of a determinism comparison.
+    pub wall_secs: f64,
 }
 
 /// Runs the open-loop response-time measurement for one scenario,
@@ -56,6 +60,7 @@ pub fn run_cell(
     measure: SimDuration,
     trace_cap: usize,
 ) -> TabRtCell {
+    let started = Instant::now();
     let cfg = RubisConfig::tab_rt(scenario, seed);
     let (users, items) = (cfg.users, cfg.items);
     let mut dep = deploy_rubis(cfg);
@@ -81,6 +86,7 @@ pub fn run_cell(
         metrics: dep.topo.sim.take_metrics(),
         dispatched,
         trace: std::mem::replace(&mut dep.topo.sim.trace, netsim::trace::Trace::disabled()),
+        wall_secs: started.elapsed().as_secs_f64(),
     }
 }
 

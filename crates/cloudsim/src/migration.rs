@@ -68,7 +68,6 @@ mod tests {
     use netsim::tcp::TcpEvent;
     use netsim::SimTime;
     use rand::SeedableRng;
-    use std::any::Any;
     use std::net::IpAddr;
 
     /// Client that counts echoed pings over a persistent connection.
@@ -97,12 +96,6 @@ mod tests {
                 _ => {}
             }
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     struct Echo;
@@ -115,12 +108,6 @@ mod tests {
                 let d = api.tcp_recv(s);
                 api.tcp_send(s, &d);
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -320,7 +320,6 @@ mod tests {
     use netsim::host::{App, AppEvent, HostApi};
     use netsim::tcp::TcpEvent;
     use netsim::SimTime;
-    use std::any::Any;
 
     struct Echo;
     impl App for Echo {
@@ -332,12 +331,6 @@ mod tests {
                 let d = api.tcp_recv(s);
                 api.tcp_send(s, &d);
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -355,12 +348,6 @@ mod tests {
                 AppEvent::Tcp(TcpEvent::Data(s)) => self.reply.extend(api.tcp_recv(s)),
                 _ => {}
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -24,7 +24,6 @@ use crate::wire::{HipPacket, PacketType};
 use netsim::engine::{Ctx, Node};
 use netsim::link::LinkId;
 use netsim::packet::{Packet, Payload};
-use std::any::Any;
 use std::collections::HashMap;
 
 /// A stateful HIP middlebox firewall bridging two links.
@@ -133,13 +132,6 @@ impl Node for HipMidboxFirewall {
                 });
             }
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

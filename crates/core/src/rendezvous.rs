@@ -18,7 +18,6 @@ use std::collections::HashMap as SeqMap;
 use netsim::engine::{Ctx, Node};
 use netsim::link::LinkId;
 use netsim::packet::{Packet, Payload};
-use std::any::Any;
 use std::collections::HashMap;
 use std::net::IpAddr;
 
@@ -124,13 +123,6 @@ impl Node for RendezvousServer {
             _ => {}
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -160,12 +152,6 @@ mod tests {
         struct Sink;
         impl Node for Sink {
             fn handle_packet(&mut self, _: usize, _: Packet, _: &mut Ctx) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let sink = sim.world.add_node(Box::new(Sink));
         let rvs_addr = v4(10, 0, 0, 9);
@@ -222,12 +208,6 @@ mod tests {
         impl Node for Capture {
             fn handle_packet(&mut self, _: usize, pkt: Packet, _: &mut Ctx) {
                 self.got.push(pkt);
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
 

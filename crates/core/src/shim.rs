@@ -25,7 +25,6 @@ use netsim::{L35Shim, ShimApi, SimDuration, SimTime};
 use sim_crypto::dh::{DhGroup, DhKeyPair};
 use sim_crypto::hmac::HmacKey;
 use sim_crypto::kdf::keymat;
-use std::any::Any;
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 
@@ -1244,12 +1243,5 @@ impl L35Shim for HipShim {
         self.timers.clear();
         self.notify_limiter.clear();
         self.rvs_registered = false;
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

@@ -15,7 +15,6 @@ use netsim::tcp::TcpEvent;
 use netsim::{Endpoint, LinkParams, Sim, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::any::Any;
 use std::net::IpAddr;
 
 /// A malicious middlebox on the path between the two hosts. Forwards
@@ -60,13 +59,6 @@ impl Node for Mitm {
         }
         ctx.transmit(out, pkt);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 struct EchoServer;
@@ -79,12 +71,6 @@ impl App for EchoServer {
             let d = api.tcp_recv(s);
             api.tcp_send(s, &d);
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -114,12 +100,6 @@ impl App for Chat {
             }
             _ => {}
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -10,7 +10,6 @@ use netsim::tcp::TcpEvent;
 use netsim::{Endpoint, FaultAction, LinkParams, NodeId, Sim, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::any::Any;
 use std::net::IpAddr;
 
 /// Test app: echo server on port 7.
@@ -27,12 +26,6 @@ impl App for EchoServer {
             api.tcp_send(s, &d);
             self.served += 1;
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -75,12 +68,6 @@ impl App for EchoClient {
             }
             _ => {}
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -727,12 +714,6 @@ fn replayed_registration_rejected_by_rvs() {
     struct Sink;
     impl netsim::Node for Sink {
         fn handle_packet(&mut self, _: usize, _: Packet, _: &mut Ctx) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
     let mut sim = Sim::new(98);
     let sink = sim.world.add_node(Box::new(Sink));

@@ -18,7 +18,7 @@
 //! not a protocol layer bothers to cancel.
 
 use crate::link::{DropCause, Endpoint, Link, LinkId, LinkParams, NodeId, TxResult};
-use crate::packet::{split_gso, Packet, Payload, TcpSegment};
+use crate::packet::{Packet, Payload};
 use crate::sched::CalendarQueue;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{PktInfo, Trace, TraceData};
@@ -236,8 +236,29 @@ pub enum FaultAction {
 /// decrypted inner packet of an ESP tunnel re-entering layer 4).
 pub const IFACE_INTERNAL: usize = usize::MAX;
 
+/// Upcast to `dyn Any` for every `'static` type. As the supertrait of
+/// [`Node`], [`App`](crate::host::App) and
+/// [`L35Shim`](crate::host::L35Shim) it lets their `as_any`/`as_any_mut`
+/// be provided methods: a provided method cannot coerce an unsized
+/// `Self` to `dyn Any` itself, but it can call through this trait.
+pub trait AsAny: Any {
+    /// `self` as `&dyn Any`, with `Self`'s concrete type id.
+    fn any_ref(&self) -> &dyn Any;
+    /// `self` as `&mut dyn Any`, with `Self`'s concrete type id.
+    fn any_mut(&mut self) -> &mut dyn Any;
+}
+
+impl<T: Any> AsAny for T {
+    fn any_ref(&self) -> &dyn Any {
+        self
+    }
+    fn any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
 /// A simulated node: host, router, NAT box, Teredo relay, ...
-pub trait Node: Any {
+pub trait Node: AsAny {
     /// Called once before the simulation starts running.
     fn start(&mut self, _ctx: &mut Ctx) {}
 
@@ -256,9 +277,13 @@ pub trait Node: Any {
     fn on_restart(&mut self, _ctx: &mut Ctx) {}
 
     /// Downcasting support for experiment harnesses and tests.
-    fn as_any(&self) -> &dyn Any;
+    fn as_any(&self) -> &dyn Any {
+        self.any_ref()
+    }
     /// Mutable downcasting support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self.any_mut()
+    }
 }
 
 /// The node/link topology.
@@ -333,9 +358,10 @@ impl Ctx<'_> {
     /// Transmits `pkt` on `link`. Loss and queueing are resolved here;
     /// delivery (if any) is scheduled automatically.
     pub fn transmit(&mut self, link: LinkId, pkt: Packet) {
-        if matches!(&pkt.payload, Payload::Tcp(seg) if seg.gso_mss > 0) {
-            return self.transmit_gso(link, &pkt);
-        }
+        debug_assert!(
+            !matches!(&pkt.payload, Payload::Tcp(seg) if seg.gso_mss > 0),
+            "GSO super-segments must be split before they reach a link"
+        );
         let l = &mut self.links[link.0];
         let loss_draw: f64 = self.rng.random();
         let jitter_draw: f64 = self.rng.random();
@@ -355,98 +381,6 @@ impl Ctx<'_> {
                 });
             }
         }
-    }
-
-    /// Merged-mode GSO transmit (GRO in one step): the super-segment is
-    /// charged to the link as its individual MTU frames — identical
-    /// wire bytes, serialization delays, loss/jitter draws, drop traces
-    /// and counters — but each surviving run of contiguous frames is
-    /// delivered as ONE merged segment at the run's last-frame arrival
-    /// time, so the receiver handles one event (and sends one ACK) per
-    /// run instead of one per frame. Byte streams are identical to
-    /// unbatched; delivery timing within a run is approximated by its
-    /// tail. A lost frame splits the super: the runs around it arrive
-    /// separately and retransmission covers the gap exactly as in
-    /// per-frame mode.
-    fn transmit_gso(&mut self, link: LinkId, pkt: &Packet) {
-        let Payload::Tcp(seg) = &pkt.payload else { return };
-        let frames = split_gso(seg);
-        let mut run_start: Option<usize> = None;
-        let mut run_last = 0usize;
-        let mut run_to: Option<Endpoint> = None;
-        let mut run_at = self.now;
-        for (i, frame) in frames.iter().enumerate() {
-            let fpkt = Packet::new(pkt.src, pkt.dst, Payload::Tcp(frame.clone()));
-            let l = &mut self.links[link.0];
-            let loss_draw: f64 = self.rng.random();
-            let jitter_draw: f64 = self.rng.random();
-            match l.transmit(self.node, fpkt.wire_len(), self.now, loss_draw, jitter_draw) {
-                TxResult::Deliver { to, at } => {
-                    self.trace.record(self.now, self.node, || TraceData::Tx(pkt_info(&fpkt)));
-                    if run_start.is_none() {
-                        run_start = Some(i);
-                    }
-                    run_last = i;
-                    run_to = Some(to);
-                    run_at = at;
-                }
-                TxResult::Dropped { cause } => {
-                    self.metrics.inc(self.ids.link_drops);
-                    if matches!(cause, DropCause::Burst | DropCause::LinkDown | DropCause::Partition) {
-                        self.metrics.add_name(cause.reason(), 1);
-                    }
-                    self.trace.record(self.now, self.node, || TraceData::Drop {
-                        pkt: Some(pkt_info(&fpkt)),
-                        reason: cause.reason().to_string(),
-                    });
-                    if let (Some(start), Some(to)) = (run_start.take(), run_to.take()) {
-                        self.emit_merged(pkt, &frames, start, run_last, to, run_at);
-                    }
-                }
-            }
-        }
-        if let (Some(start), Some(to)) = (run_start, run_to) {
-            self.emit_merged(pkt, &frames, start, run_last, to, run_at);
-        }
-    }
-
-    /// Delivers frames `start..=last` of a GSO super as one merged
-    /// segment arriving at `at` (the run tail's arrival time).
-    fn emit_merged(
-        &mut self,
-        pkt: &Packet,
-        frames: &[TcpSegment],
-        start: usize,
-        last: usize,
-        to: Endpoint,
-        at: SimTime,
-    ) {
-        let Payload::Tcp(seg) = &pkt.payload else { return };
-        let merged = if start == last {
-            frames[start].clone()
-        } else {
-            let mss = seg.gso_mss as usize;
-            let off = start * mss;
-            let end = ((last + 1) * mss).min(seg.data.len());
-            TcpSegment {
-                src_port: seg.src_port,
-                dst_port: seg.dst_port,
-                seq: frames[start].seq,
-                ack: seg.ack,
-                flags: frames[last].flags,
-                window: seg.window,
-                data: seg.data.slice(off..end),
-                gso_mss: 0,
-            }
-        };
-        self.emitted.push((
-            at,
-            Event::PacketArrive {
-                node: to.node,
-                iface: to.iface,
-                pkt: Packet::new(pkt.src, pkt.dst, Payload::Tcp(merged)),
-            },
-        ));
     }
 
     /// Transmits `pkt` on `link` after `delay` (models CPU processing
@@ -1080,12 +1014,6 @@ mod tests {
                 ctx.transmit(self.link, reply);
             }
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     fn icmp_packet() -> Packet {
@@ -1167,12 +1095,6 @@ mod tests {
             fn handle_timer(&mut self, t: TimerHandle, _: &mut Ctx) {
                 self.fired.push(t.token);
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let mut sim = Sim::new(0);
         let n = sim.world.add_node(Box::new(TimerNode { fired: vec![] }));
@@ -1210,12 +1132,6 @@ mod tests {
                 // Cancelling an already-fired token is a no-op.
                 let mine = self.pending[(t.token - 1) as usize];
                 assert!(!ctx.cancel_timer(mine));
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut sim = Sim::new(0);

@@ -273,7 +273,6 @@ mod tests {
     use crate::packet::Packet;
     use crate::time::SimTime;
     use crate::trace::{Trace, TraceKind};
-    use std::any::Any;
 
     struct Counter {
         received: u32,
@@ -290,12 +289,6 @@ mod tests {
         }
         fn on_restart(&mut self, _ctx: &mut Ctx) {
             self.restarts += 1;
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

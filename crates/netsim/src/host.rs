@@ -17,12 +17,12 @@
 
 use crate::addr::{is_identity, select_source};
 use crate::cpu::CpuModel;
-use crate::engine::{Ctx, Node, TimerHandle, TimerOwner, TimerToken, IFACE_INTERNAL};
+use crate::engine::{AsAny, Ctx, Node, TimerHandle, TimerOwner, TimerToken, IFACE_INTERNAL};
 use crate::link::LinkId;
 use crate::packet::{
     proto, IcmpKind, IcmpMessage, Packet, Payload, UdpData, UdpDatagram,
 };
-use crate::tcp::{GsoMode, SockId, TcpConfig, TcpEvent, TcpLayer};
+use crate::tcp::{SockId, TcpConfig, TcpEvent, TcpLayer};
 use crate::teredo::TeredoClient;
 use crate::time::{SimDuration, SimTime};
 use std::any::Any;
@@ -62,7 +62,7 @@ pub enum AppEvent {
 }
 
 /// An application running on a host.
-pub trait App: Any {
+pub trait App: AsAny {
     /// Called once when the simulation starts.
     fn start(&mut self, _api: &mut HostApi) {}
     /// Called for every event addressed to this app.
@@ -72,14 +72,19 @@ pub trait App: Any {
     /// configuration and accumulated statistics. `start` runs again on
     /// restart.
     fn reset(&mut self) {}
-    /// Downcast support.
-    fn as_any(&self) -> &dyn Any;
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    /// Downcast support. A wrapper app overrides this to expose the
+    /// app it wraps, so [`Host::app`] finds the inner type.
+    fn as_any(&self) -> &dyn Any {
+        self.any_ref()
+    }
+    /// Mutable downcast support (see [`App::as_any`]).
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self.any_mut()
+    }
 }
 
 /// A layer-3.5 shim (HIP). Installed with [`Host::set_shim`].
-pub trait L35Shim: Any {
+pub trait L35Shim: AsAny {
     /// Called once when the simulation starts.
     fn start(&mut self, _api: &mut ShimApi) {}
     /// Whether outbound packets to `dst` should be given to the shim.
@@ -94,10 +99,15 @@ pub trait L35Shim: Any {
     /// in-flight exchanges; keep identity and peer configuration.
     /// `start` runs again on restart.
     fn on_crash(&mut self, _api: &mut ShimApi) {}
-    /// Downcast support.
-    fn as_any(&self) -> &dyn Any;
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    /// Downcast support. A wrapper shim overrides this to expose the
+    /// shim it wraps.
+    fn as_any(&self) -> &dyn Any {
+        self.any_ref()
+    }
+    /// Mutable downcast support (see [`L35Shim::as_any`]).
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self.any_mut()
+    }
 }
 
 /// A network interface: the link it attaches to and its addresses.
@@ -265,11 +275,8 @@ impl HostCore {
         if let Payload::Tcp(seg) = &pkt.payload {
             // NIC-level GSO split: a super-segment travels the stack
             // once but hits the wire as per-MTU frames, in the exact
-            // order unbatched TCP would have sent them. `Merged` mode
-            // keeps the super intact for the link layer to merge on the
-            // far side — except over Teredo, which tunnels per frame.
-            let needs_teredo = pkt.dst.is_ipv6() && !self.has_native_v6();
-            if seg.gso_mss > 0 && (self.tcp.config.gso != GsoMode::Merged || needs_teredo) {
+            // order unbatched TCP would have sent them.
+            if seg.gso_mss > 0 {
                 for frame in crate::packet::split_gso(seg) {
                     let f = Packet::new(pkt.src, pkt.dst, Payload::Tcp(frame));
                     self.send_wire(ctx, delay, f);
@@ -607,12 +614,6 @@ impl Host {
 struct NullApp;
 impl App for NullApp {
     fn on_event(&mut self, _: AppEvent, _: &mut HostApi) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 impl Host {
@@ -709,13 +710,6 @@ impl Node for Host {
             }
         }
         self.pump(ctx);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -962,12 +956,6 @@ mod tests {
                 self.served += 1;
             }
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     /// A client that connects, sends one message, and records the echo.
@@ -993,12 +981,6 @@ mod tests {
                 }
                 _ => {}
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -1104,12 +1086,6 @@ mod tests {
                     self.rtt = Some(api.now().since(self.sent_at));
                 }
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let mut sim = Sim::new(1);
         let mut ha = Host::new("a");
@@ -1146,12 +1122,6 @@ mod tests {
                 api.udp_send(5000, self.dst, 53, UdpData::Raw(Bytes::from_static(b"query")));
             }
             fn on_event(&mut self, _: AppEvent, _: &mut HostApi) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         struct Receiver {
             got: Vec<u8>,
@@ -1164,12 +1134,6 @@ mod tests {
                 if let AppEvent::UdpDatagram { data: UdpData::Raw(b), .. } = ev {
                     self.got.extend_from_slice(&b);
                 }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut sim = Sim::new(1);
@@ -1239,6 +1203,38 @@ mod tests {
         assert!(!prefix_match(&v4(192, 168, 1, 10), &v4(192, 168, 1, 64), 26));
         assert!(prefix_match(&v4(1, 2, 3, 4), &v4(0, 0, 0, 0), 0));
     }
+
+    /// A plain app downcasts through the provided `as_any`; a wrapper
+    /// that overrides it exposes the app it wraps instead of itself.
+    #[test]
+    fn app_downcasts_through_provided_and_overridden_as_any() {
+        struct Plain(u32);
+        impl App for Plain {
+            fn on_event(&mut self, _: AppEvent, _: &mut HostApi) {}
+        }
+        struct Wrapper(Box<dyn App>);
+        impl App for Wrapper {
+            fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
+                self.0.on_event(ev, api);
+            }
+            fn as_any(&self) -> &dyn Any {
+                self.0.as_any()
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self.0.as_any_mut()
+            }
+        }
+        let mut host = Host::new("h");
+        let plain = host.add_app(Box::new(Plain(1)));
+        let inner = EchoServer { port: 7, served: 0 };
+        let wrapped = host.add_app(Box::new(Wrapper(Box::new(inner))));
+        assert_eq!(host.app::<Plain>(plain).map(|p| p.0), Some(1));
+        assert!(host.app::<EchoServer>(plain).is_none());
+        assert_eq!(host.app::<EchoServer>(wrapped).map(|s| s.port), Some(7));
+        assert!(host.app::<Wrapper>(wrapped).is_none(), "the override hides the wrapper");
+        host.app_mut::<EchoServer>(wrapped).expect("inner app").served = 3;
+        assert_eq!(host.app::<EchoServer>(wrapped).map(|s| s.served), Some(3));
+    }
 }
 
 #[cfg(test)]
@@ -1265,12 +1261,6 @@ mod routing_tests {
                 if let AppEvent::EchoReply { from, .. } = ev {
                     self.replies.push(from);
                 }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
 

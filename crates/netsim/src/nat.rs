@@ -18,7 +18,6 @@ use crate::engine::{Ctx, Node, TimerHandle, TimerOwner};
 use crate::link::LinkId;
 use crate::packet::{Packet, Payload};
 use crate::time::{SimDuration, SimTime};
-use std::any::Any;
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 
@@ -242,13 +241,6 @@ impl Node for Nat {
             TimerHandle { owner: TimerOwner::Node, token: 1 },
         );
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -281,12 +273,6 @@ mod tests {
         impl Node for Sink {
             fn handle_packet(&mut self, _: usize, pkt: Packet, _: &mut Ctx) {
                 self.got.push(pkt);
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
 

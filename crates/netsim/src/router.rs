@@ -8,7 +8,6 @@
 use crate::engine::{Ctx, Node};
 use crate::link::LinkId;
 use crate::packet::Packet;
-use std::any::Any;
 use std::net::IpAddr;
 
 /// A forwarding table entry.
@@ -109,13 +108,6 @@ impl Node for Router {
                 ctx.trace_drop(|| format!("{}: no route to {}", self.name, pkt.dst));
             }
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

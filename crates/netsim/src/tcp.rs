@@ -58,8 +58,8 @@ pub enum TcpEvent {
 /// Batching is a *simulator-mechanism* optimization: the TCP layer
 /// emits one super-segment per send burst instead of one packet per
 /// MSS, and the NIC layer turns it back into per-frame wire traffic.
-/// What varies between the modes is how much of the per-frame work is
-/// recreated, and therefore how strong the equivalence guarantee is.
+/// It changes how the simulator does the work, never what the model
+/// computes: `Exact` is pinned bit-identical to `Off`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum GsoMode {
     /// One MSS-sized segment per packet (the pre-batching behavior).
@@ -71,15 +71,6 @@ pub enum GsoMode {
     /// is identical to `Off` — goldens stay bit-identical — while TCP
     /// segmentation and ESP crypto run once per burst.
     Exact,
-    /// Super-segments survive onto the wire as merged arrivals (GRO):
-    /// the link still draws loss/jitter and accounts wire bytes,
-    /// serialization and drops per frame, but surviving contiguous
-    /// frame runs deliver as a single event ACKed once. Application
-    /// streams stay byte-identical and wire/drop counters match on
-    /// clean links; delivery timing is approximate. Opt-in for
-    /// bulk-transfer benchmarks (Basic TCP only; the ESP shim always
-    /// splits exactly).
-    Merged,
 }
 
 /// TCP tuning knobs.
@@ -607,15 +598,7 @@ impl TcpLayer {
                 // Congestion window growth.
                 if s.cfg.congestion_control {
                     if s.cwnd < s.ssthresh {
-                        // Merged-mode GRO decimates ACKs (one per merged
-                        // arrival); byte-counting keeps slow start growing
-                        // at the same per-byte rate (RFC 3465 style).
-                        let inc = if s.cfg.gso == GsoMode::Merged {
-                            data_acked as u64
-                        } else {
-                            (data_acked as u64).min(s.cfg.mss as u64)
-                        };
-                        s.cwnd += inc;
+                        s.cwnd += (data_acked as u64).min(s.cfg.mss as u64);
                     } else {
                         let inc = (s.cfg.mss as u64 * s.cfg.mss as u64 / s.cwnd.max(1)).max(1);
                         s.cwnd += inc;
@@ -826,7 +809,7 @@ impl TcpSocket {
     ///
     /// The burst the windows permit is carved out of the send deque in
     /// one allocation and every emitted segment is a zero-copy slice of
-    /// it. Under [`GsoMode::Exact`]/[`GsoMode::Merged`] the loop emits
+    /// it. Under [`GsoMode::Exact`] the loop emits
     /// super-segments of up to [`GSO_MAX`] bytes, clamped to a multiple
     /// of the MSS so a capped super ends exactly on a per-MSS frame
     /// boundary — the NIC-layer split then reproduces `Off`-mode wire
@@ -1293,8 +1276,8 @@ mod tests {
 
     #[test]
     fn gso_receiver_accepts_super_segments_directly() {
-        // Layer-level pumping passes supers through unsplit (Merged-style
-        // arrival): streams must still be byte-identical.
+        // Layer-level pumping passes supers through unsplit: streams
+        // must still be byte-identical.
         let (mut a, mut b, ca, sb) = connected_pair();
         let data: Vec<u8> = (0..100_000u32).map(|i| (i % 253) as u8).collect();
         a.send(ca, &data, SimTime(1));

@@ -24,7 +24,6 @@ use crate::link::LinkId;
 use crate::packet::{Packet, Payload, UdpData, UdpDatagram};
 use crate::time::SimDuration;
 use bytes::Bytes;
-use std::any::Any;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 /// The Teredo UDP service port.
@@ -220,13 +219,6 @@ impl Node for TeredoServer {
         );
         ctx.transmit(self.link, reply);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// The Teredo relay: bridges the UDP/IPv4 world and IPv6.
@@ -312,13 +304,6 @@ impl Node for TeredoRelay {
                 ctx.trace_drop(|| format!("relay: unhandled {} -> {}", pkt.src, pkt.dst));
             }
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -433,12 +418,6 @@ mod tests {
                 api.tcp_send(s, &d);
             }
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     struct V6Client {
@@ -465,12 +444,6 @@ mod tests {
                 }
                 _ => {}
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

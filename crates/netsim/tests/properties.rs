@@ -8,7 +8,6 @@ use netsim::packet::v4;
 use netsim::tcp::TcpEvent;
 use netsim::{Sim, SimDuration, SimTime};
 use proptest::prelude::*;
-use std::any::Any;
 use std::net::IpAddr;
 
 struct Sender {
@@ -31,12 +30,6 @@ impl App for Sender {
             _ => {}
         }
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 struct Receiver {
@@ -56,12 +49,6 @@ impl App for Receiver {
             }
             _ => {}
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

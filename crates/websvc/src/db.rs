@@ -14,7 +14,6 @@ use netsim::host::{App, AppEvent, HostApi};
 use netsim::tcp::TcpEvent;
 use netsim::{SimDuration, SockId};
 use sim_crypto::rsa::RsaKeyPair;
-use std::any::Any;
 use std::collections::HashMap;
 use tls_sim::{Certificate, TlsCosts};
 
@@ -224,13 +223,6 @@ impl App for DbServerApp {
             }
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

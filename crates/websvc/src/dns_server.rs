@@ -7,7 +7,6 @@
 use netsim::dns::{DnsMessage, RecordType, Zone, DNS_PORT};
 use netsim::host::{App, AppEvent, HostApi};
 use netsim::packet::UdpData;
-use std::any::Any;
 
 /// The DNS server app.
 pub struct DnsServerApp {
@@ -43,13 +42,6 @@ impl App for DnsServerApp {
         let resp = DnsMessage::Response { id, name, answers };
         api.udp_send(DNS_PORT, src, src_port, UdpData::Dns(resp));
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A one-shot resolver client (helper for apps and tests): sends one
@@ -83,12 +75,5 @@ impl App for DnsLookupApp {
             self.answers = answers;
             self.responded = true;
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

@@ -18,7 +18,6 @@ use crate::rubis::WorkloadMix;
 use netsim::host::{App, AppEvent, HostApi};
 use netsim::tcp::TcpEvent;
 use netsim::{SimDuration, SimTime, SockId};
-use std::any::Any;
 use std::collections::HashMap;
 use std::net::IpAddr;
 
@@ -303,13 +302,6 @@ impl App for JmeterApp {
             _ => {}
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -430,13 +422,6 @@ impl App for HttperfApp {
             _ => {}
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -487,13 +472,6 @@ impl App for IperfServerApp {
                 self.last_byte = Some(api.now());
             }
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -573,13 +551,6 @@ impl App for IperfClientApp {
             _ => {}
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Sends exactly `total` bulk bytes and closes — the fixed-size cousin
@@ -651,13 +622,6 @@ impl App for BulkSendApp {
             AppEvent::Timer { token: TIMER_TICK } => self.top_up(api),
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -737,13 +701,6 @@ impl App for PingApp {
             }
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -35,7 +35,6 @@ use crate::secure::{Channel, Conn};
 use netsim::host::{App, AppEvent, HostApi};
 use netsim::tcp::TcpEvent;
 use netsim::{SimDuration, SimTime, SockId};
-use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::net::IpAddr;
 use tls_sim::TlsCosts;
@@ -644,13 +643,6 @@ impl App for ProxyApp {
             }
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

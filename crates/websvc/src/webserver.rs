@@ -14,7 +14,6 @@ use crate::secure::{Channel, Conn};
 use netsim::host::{App, AppEvent, HostApi};
 use netsim::tcp::TcpEvent;
 use netsim::{SimDuration, SockId};
-use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::net::IpAddr;
 use tls_sim::TlsCosts;
@@ -364,12 +363,5 @@ impl App for WebServerApp {
             }
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

@@ -7,7 +7,6 @@ use cloudsim::{CloudKind, CloudTopology, Flavor};
 use netsim::host::{App, AppEvent, HostApi};
 use netsim::tcp::TcpEvent;
 use netsim::{SimDuration, SimTime};
-use std::any::Any;
 use std::net::IpAddr;
 use websvc::http::{HttpRequest, ResponseParser};
 use websvc::proxy::{BackendSecurity, ProxyApp};
@@ -41,12 +40,6 @@ impl App for OneShot {
             }
             _ => {}
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -17,7 +17,6 @@ use hipcloud::hip::{HipConfig, HipShim, PeerInfo};
 use hipcloud::net::host::{App, AppEvent, HostApi};
 use hipcloud::net::{SimDuration, TcpEvent};
 use rand::SeedableRng;
-use std::any::Any;
 use std::net::IpAddr;
 
 struct EchoServer;
@@ -30,12 +29,6 @@ impl App for EchoServer {
             let d = api.tcp_recv(s);
             api.tcp_send(s, &d);
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -57,12 +50,6 @@ impl App for Probe {
             }
             _ => {}
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

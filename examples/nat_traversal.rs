@@ -21,7 +21,6 @@ use hipcloud::net::nat::{Nat, NatKind};
 use hipcloud::net::teredo::{TeredoClient, TeredoRelay, TeredoServer, TEREDO_PORT};
 use hipcloud::net::{Endpoint, LinkParams, SimDuration, TcpEvent};
 use rand::SeedableRng;
-use std::any::Any;
 use std::net::{IpAddr, Ipv4Addr};
 
 struct SshServer;
@@ -36,12 +35,6 @@ impl App for SshServer {
                 api.tcp_send(s, b"up 42 days, load average: 0.02\n");
             }
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -63,12 +56,6 @@ impl App for Admin {
             AppEvent::Tcp(TcpEvent::Data(s)) => self.output.extend(api.tcp_recv(s)),
             _ => {}
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

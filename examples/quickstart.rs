@@ -15,7 +15,6 @@ use hipcloud::hip::{HipConfig, HipShim, PeerInfo};
 use hipcloud::net::host::{App, AppEvent, HostApi};
 use hipcloud::net::{SimDuration, SimTime, TcpEvent};
 use rand::SeedableRng;
-use std::any::Any;
 use std::net::IpAddr;
 
 /// A tiny request/response app pair.
@@ -31,12 +30,6 @@ impl App for Server {
             println!("[server] got {:?}", String::from_utf8_lossy(&msg));
             api.tcp_send(sock, b"hello from the other side of the tunnel");
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -60,12 +53,6 @@ impl App for Client {
             }
             _ => {}
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -14,7 +14,6 @@ use hipcloud::hip::{HipConfig, HipShim, PeerInfo};
 use hipcloud::net::host::{App, AppEvent, HostApi};
 use hipcloud::net::{SimDuration, SockId, TcpEvent};
 use rand::SeedableRng;
-use std::any::Any;
 use std::net::IpAddr;
 
 /// Sends a heartbeat every 250 ms over one long-lived connection and
@@ -44,12 +43,6 @@ impl App for Heartbeat {
             _ => {}
         }
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 struct Echo;
@@ -62,12 +55,6 @@ impl App for Echo {
             let d = api.tcp_recv(s);
             api.tcp_send(s, &d);
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

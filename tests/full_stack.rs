@@ -12,7 +12,6 @@ use hipcloud::web::loadgen::JmeterApp;
 use hipcloud::web::rubis::WorkloadMix;
 use hipcloud::web::Scenario;
 use rand::SeedableRng;
-use std::any::Any;
 use std::net::IpAddr;
 
 struct Echo;
@@ -25,12 +24,6 @@ impl App for Echo {
             let d = api.tcp_recv(s);
             api.tcp_send(s, &d);
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -48,12 +41,6 @@ impl App for Caller {
             AppEvent::Tcp(TcpEvent::Data(s)) => self.reply.extend(api.tcp_recv(s)),
             _ => {}
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
