@@ -144,15 +144,14 @@ mod tests {
         HipPacket::new(PacketType::RegRequest, id.hit(), Hit::NULL, params)
     }
 
-    #[test]
-    fn registration_requires_valid_signature() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let id = HostIdentity::generate_rsa(512, &mut rng);
-        let mut sim = netsim::Sim::new(1);
+    /// Delivers `regs` from 10.0.0.5 to a fresh server whose link ends in
+    /// a sink, and runs until the simulation is quiet.
+    fn deliver_registrations(regs: &[HipPacket]) -> (netsim::Sim, netsim::NodeId) {
         struct Sink;
         impl Node for Sink {
             fn handle_packet(&mut self, _: usize, _: Packet, _: &mut Ctx) {}
         }
+        let mut sim = netsim::Sim::new(1);
         let sink = sim.world.add_node(Box::new(Sink));
         let rvs_addr = v4(10, 0, 0, 9);
         let rvs = sim.world.add_node(Box::new(RendezvousServer::new(rvs_addr, LinkId(0))));
@@ -161,7 +160,24 @@ mod tests {
             netsim::Endpoint { node: sink, iface: 0 },
             netsim::LinkParams::datacenter(),
         );
+        for reg in regs {
+            sim.schedule(
+                netsim::SimDuration::ZERO,
+                netsim::Event::PacketArrive {
+                    node: rvs,
+                    iface: 0,
+                    pkt: Packet::new(v4(10, 0, 0, 5), rvs_addr, Payload::HipControl(reg.encode())),
+                },
+            );
+        }
+        assert!(sim.run_to_quiescence(100).is_quiescent());
+        (sim, rvs)
+    }
 
+    #[test]
+    fn registration_requires_valid_signature() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let id = HostIdentity::generate_rsa(512, &mut rng);
         let good = make_signed_reg(&id, v4(10, 0, 0, 5), &mut rng);
         let bad = {
             // Tamper with the advertised locator after signing.
@@ -173,27 +189,30 @@ mod tests {
             }
             HipPacket::new(PacketType::RegRequest, id.hit(), Hit::NULL, params)
         };
-        sim.schedule(
-            netsim::SimDuration::ZERO,
-            netsim::Event::PacketArrive {
-                node: rvs,
-                iface: 0,
-                pkt: Packet::new(v4(10, 0, 0, 5), rvs_addr, Payload::HipControl(good.encode())),
-            },
-        );
-        sim.schedule(
-            netsim::SimDuration::ZERO,
-            netsim::Event::PacketArrive {
-                node: rvs,
-                iface: 0,
-                pkt: Packet::new(v4(10, 0, 0, 5), rvs_addr, Payload::HipControl(bad.encode())),
-            },
-        );
-        assert!(sim.run_to_quiescence(100).is_quiescent());
+        let (sim, rvs) = deliver_registrations(&[good, bad]);
         let server = sim.world.node::<RendezvousServer>(rvs).unwrap();
         assert_eq!(server.len(), 1);
         assert_eq!(server.registration(&id.hit()), Some(v4(10, 0, 0, 5)));
         assert_eq!(server.rejected, 1);
+    }
+
+    #[test]
+    fn registration_under_too_short_rsa_modulus_is_rejected() {
+        // A HOST_ID whose RSA modulus is one byte (n = 3, e = 3) hashes to a
+        // valid HIT, so the server gets as far as verifying the signature.
+        let mut hi = vec![crate::identity::HiAlgorithm::Rsa.id()];
+        hi.extend_from_slice(&[0, 0, 0, 1, 3, 0, 0, 0, 1, 3]);
+        let hit = PublicHi::from_bytes(&hi).expect("short key still parses").hit();
+        let params = vec![
+            Param::HostId(hi),
+            Param::Locator(vec![encode_locator(&v4(10, 0, 0, 5))]),
+            Param::Signature(vec![1]),
+        ];
+        let reg = HipPacket::new(PacketType::RegRequest, hit, Hit::NULL, params);
+        let (sim, rvs) = deliver_registrations(&[reg]);
+        let server = sim.world.node::<RendezvousServer>(rvs).unwrap();
+        assert_eq!(server.rejected, 1);
+        assert!(server.is_empty());
     }
 
     #[test]

@@ -5,9 +5,14 @@
 //! and every value is kept *normalized* (no most-significant zero limbs),
 //! so equality and comparison are plain limb comparisons.
 //!
-//! Division uses Knuth's Algorithm D; modular exponentiation uses
-//! Montgomery multiplication (CIOS) for odd moduli, falling back to
-//! square-and-multiply with explicit reduction otherwise.
+//! Division uses Knuth's Algorithm D. Modular exponentiation with an odd
+//! modulus (RSA, Diffie-Hellman, Miller–Rabin) works in the Montgomery
+//! domain: CIOS multiplication into caller-owned `n`-limb buffers with one
+//! reused `n + 2`-limb scratch, so no multiply allocates, driven by a
+//! left-to-right sliding window over a table of odd powers whose width
+//! grows with the exponent (plain square-and-multiply up to 24 bits, so
+//! RSA verification with e = 65537 builds no table). Even moduli fall
+//! back to square-and-multiply with explicit reduction.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -422,6 +427,19 @@ impl BigUint {
         (qn, rem as u64)
     }
 
+    /// `self mod d` for a one-word divisor, without allocating.
+    ///
+    /// # Panics
+    /// Panics if `d` is zero.
+    pub fn rem_u64(&self, d: u64) -> u64 {
+        assert!(d != 0, "BigUint division by zero");
+        let d = u128::from(d);
+        self.limbs
+            .iter()
+            .rev()
+            .fold(0u64, |r, &l| (((u128::from(r) << 64) | u128::from(l)) % d) as u64)
+    }
+
     /// `self mod m`.
     pub fn rem(&self, m: &Self) -> Self {
         self.div_rem(m).1
@@ -445,7 +463,7 @@ impl BigUint {
             return Self::one();
         }
         if !m.is_even() {
-            return MontgomeryCtx::new(m).modpow(self, exp);
+            return MontgomeryCtx::new(m).modpow(&self.rem(m), exp);
         }
         // Fallback: left-to-right square and multiply with full reduction.
         let base = self.rem(m);
@@ -563,12 +581,27 @@ impl BigUint {
 }
 
 /// Precomputed context for Montgomery multiplication modulo an odd `m`.
+///
+/// Every Montgomery-form value is exactly `n = len(m)` limbs, so the
+/// multiply loops index plain slices and never pad or reallocate.
 struct MontgomeryCtx {
     m: Vec<u64>,
     /// -m^-1 mod 2^64
     m_inv: u64,
-    /// R^2 mod m, where R = 2^(64 * len(m))
-    r2: BigUint,
+    /// R^2 mod m, where R = 2^(64 * n), padded to `n` limbs.
+    r2: Vec<u64>,
+}
+
+/// Sliding-window width for an exponent of `exp_bits` bits. Short
+/// exponents (RSA's e = 65537) stay plain square-and-multiply; longer
+/// ones trade a `2^(w-1)`-entry table for fewer multiplies.
+fn window_bits(exp_bits: usize) -> usize {
+    match exp_bits {
+        0..=24 => 1,
+        25..=80 => 3,
+        81..=240 => 4,
+        _ => 5,
+    }
 }
 
 impl MontgomeryCtx {
@@ -583,108 +616,119 @@ impl MontgomeryCtx {
         let m_inv = inv.wrapping_neg();
         let n = m.limbs.len();
         // R^2 mod m computed by shifting.
-        let r2 = BigUint::one().shl(2 * 64 * n).rem(m);
+        let mut r2 = BigUint::one().shl(2 * 64 * n).rem(m).limbs;
+        r2.resize(n, 0);
         MontgomeryCtx { m: m.limbs.clone(), m_inv, r2 }
     }
 
-    /// CIOS Montgomery multiplication: returns `a * b * R^-1 mod m` where
-    /// inputs are length-n limb slices (zero-padded) already `< m`.
-    #[allow(clippy::needless_range_loop)] // offset limb walks (t[j], t[j-1])
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let n = self.m.len();
-        let mut t = vec![0u64; n + 2];
-        for i in 0..n {
-            let ai = a.get(i).copied().unwrap_or(0);
+    /// CIOS Montgomery multiplication: `out = a * b * R^-1 mod m`.
+    ///
+    /// `a`, `b` and `out` are exactly `n` limbs with `a, b < m`; `t` is
+    /// caller-owned scratch of `n + 2` limbs, reused across calls.
+    fn mont_mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64], t: &mut [u64]) {
+        let m = &self.m[..];
+        let n = m.len();
+        let (a, b, out, t) = (&a[..n], &b[..n], &mut out[..n], &mut t[..n + 2]);
+        t.fill(0);
+        for &ai in a {
             // t += a_i * b
-            let mut carry = 0u128;
-            for j in 0..n {
-                let bj = b.get(j).copied().unwrap_or(0);
-                let cur = u128::from(t[j]) + u128::from(ai) * u128::from(bj) + carry;
-                t[j] = cur as u64;
-                carry = cur >> 64;
+            let mut carry = 0u64;
+            for (tj, &bj) in t[..n].iter_mut().zip(b) {
+                let cur = u128::from(*tj) + u128::from(ai) * u128::from(bj) + u128::from(carry);
+                *tj = cur as u64;
+                carry = (cur >> 64) as u64;
             }
-            let cur = u128::from(t[n]) + carry;
+            let cur = u128::from(t[n]) + u128::from(carry);
             t[n] = cur as u64;
             t[n + 1] = (cur >> 64) as u64;
-            // m-reduction step
+            // t = (t + u * m) / 2^64, with u chosen to clear the low limb.
             let u = t[0].wrapping_mul(self.m_inv);
-            let mut carry = (u128::from(t[0]) + u128::from(u) * u128::from(self.m[0])) >> 64;
+            let mut carry = ((u128::from(t[0]) + u128::from(u) * u128::from(m[0])) >> 64) as u64;
             for j in 1..n {
-                let cur = u128::from(t[j]) + u128::from(u) * u128::from(self.m[j]) + carry;
+                let cur = u128::from(t[j]) + u128::from(u) * u128::from(m[j]) + u128::from(carry);
                 t[j - 1] = cur as u64;
-                carry = cur >> 64;
+                carry = (cur >> 64) as u64;
             }
-            let cur = u128::from(t[n]) + carry;
+            let cur = u128::from(t[n]) + u128::from(carry);
             t[n - 1] = cur as u64;
-            t[n] = t[n + 1].wrapping_add((cur >> 64) as u64);
-            t[n + 1] = 0;
+            t[n] = t[n + 1] + (cur >> 64) as u64;
         }
-        // Conditional final subtraction of m.
-        let ge = {
-            if t[n] != 0 {
-                true
-            } else {
-                let mut ord = Ordering::Equal;
-                for j in (0..n).rev() {
-                    match t[j].cmp(&self.m[j]) {
-                        Ordering::Equal => continue,
-                        o => {
-                            ord = o;
-                            break;
-                        }
-                    }
-                }
-                ord != Ordering::Less
-            }
-        };
+        // Conditional final subtraction of m; t < 2m, so once suffices.
+        let ge = t[n] != 0 || t[..n].iter().rev().cmp(m.iter().rev()) != Ordering::Less;
         if ge {
-            let mut borrow = 0u64;
-            for j in 0..n {
-                let (d1, b1) = t[j].overflowing_sub(self.m[j]);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                t[j] = d2;
-                borrow = u64::from(b1) + u64::from(b2);
+            let mut borrow = false;
+            for ((o, &tj), &mj) in out.iter_mut().zip(&t[..n]).zip(m) {
+                let (d1, b1) = tj.overflowing_sub(mj);
+                let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
+                *o = d2;
+                borrow = b1 || b2;
             }
-            t[n] = t[n].wrapping_sub(borrow);
+        } else {
+            out.copy_from_slice(&t[..n]);
         }
-        t.truncate(n);
-        t
     }
 
+    /// `base ^ exp mod m` for `base < m` and `exp > 0`, by left-to-right
+    /// sliding-window exponentiation over a table of odd powers.
     fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        debug_assert!(!exp.is_zero());
         let n = self.m.len();
-        let m_big = {
-            let mut b = BigUint { limbs: self.m.clone() };
-            b.normalize();
-            b
-        };
-        let base = base.rem(&m_big);
-        // Convert to Montgomery domain.
-        let mut base_m = self.mont_mul(&pad(&base.limbs, n), &pad(&self.r2.limbs, n));
-        // acc = 1 in Montgomery domain = R mod m = mont_mul(1, R^2)
-        let mut acc = self.mont_mul(&pad(&[1], n), &pad(&self.r2.limbs, n));
-        // Right-to-left binary exponentiation.
-        for i in 0..exp.bits() {
-            if exp.bit(i) {
-                acc = self.mont_mul(&acc, &base_m);
-            }
-            if i + 1 < exp.bits() {
-                base_m = self.mont_mul(&base_m, &base_m);
+        let bits = exp.bits();
+        let w = window_bits(bits);
+        let mut t = vec![0u64; n + 2];
+        let mut acc = vec![0u64; n];
+        let mut tmp = vec![0u64; n];
+        // table[k] = base^(2k+1) in the Montgomery domain.
+        let mut table = vec![0u64; n << (w - 1)];
+        acc[..base.limbs.len()].copy_from_slice(&base.limbs);
+        self.mont_mul_into(&acc, &self.r2, &mut table[..n], &mut t);
+        if w > 1 {
+            // tmp = base^2; each entry is the previous one times base^2.
+            self.mont_mul_into(&table[..n], &table[..n], &mut tmp, &mut t);
+            for k in 1..1 << (w - 1) {
+                let (prev, next) = table.split_at_mut(k * n);
+                self.mont_mul_into(&prev[(k - 1) * n..], &tmp, &mut next[..n], &mut t);
             }
         }
-        // Convert out of the Montgomery domain.
-        let one = pad(&[1], n);
-        let out = self.mont_mul(&acc, &one);
+        // Scan from the top bit (always set, so the first window seeds
+        // acc directly). A window spans at most w bits and ends in a 1.
+        let mut top = bits;
+        let mut seeded = false;
+        while top > 0 {
+            if !exp.bit(top - 1) {
+                self.mont_mul_into(&acc, &acc, &mut tmp, &mut t);
+                std::mem::swap(&mut acc, &mut tmp);
+                top -= 1;
+                continue;
+            }
+            let mut low = top.saturating_sub(w);
+            while !exp.bit(low) {
+                low += 1;
+            }
+            let odd = (low..top).rev().fold(0usize, |v, i| (v << 1) | usize::from(exp.bit(i)));
+            let entry = &table[(odd >> 1) * n..][..n];
+            if seeded {
+                for _ in low..top {
+                    self.mont_mul_into(&acc, &acc, &mut tmp, &mut t);
+                    std::mem::swap(&mut acc, &mut tmp);
+                }
+                self.mont_mul_into(&acc, entry, &mut tmp, &mut t);
+                std::mem::swap(&mut acc, &mut tmp);
+            } else {
+                acc.copy_from_slice(entry);
+                seeded = true;
+            }
+            top = low;
+        }
+        // Convert out of the Montgomery domain: acc * 1 * R^-1.
+        tmp.fill(0);
+        tmp[0] = 1;
+        let mut out = vec![0u64; n];
+        self.mont_mul_into(&acc, &tmp, &mut out, &mut t);
         let mut r = BigUint { limbs: out };
         r.normalize();
         r
     }
-}
-
-fn pad(limbs: &[u64], n: usize) -> Vec<u64> {
-    let mut v = limbs.to_vec();
-    v.resize(n.max(limbs.len()), 0);
-    v
 }
 
 #[cfg(test)]
@@ -814,6 +858,62 @@ mod tests {
             }
             assert_eq!(b.modpow(&e, &m), expect);
         }
+    }
+
+    /// Left-to-right square-and-multiply over `mulmod`: the slow oracle
+    /// for the windowed Montgomery path.
+    fn naive_modpow(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+        let mut acc = BigUint::one().rem(m);
+        for i in (0..exp.bits()).rev() {
+            acc = acc.mulmod(&acc, m);
+            if exp.bit(i) {
+                acc = acc.mulmod(base, m);
+            }
+        }
+        acc
+    }
+
+    #[test]
+    fn window_widths_at_thresholds() {
+        let widths = [(1, 1), (24, 1), (25, 3), (80, 3), (81, 4), (240, 4), (241, 5), (600, 5)];
+        for (bits, w) in widths {
+            assert_eq!(window_bits(bits), w, "{bits}-bit exponent");
+        }
+    }
+
+    #[test]
+    fn modpow_matches_naive_at_window_thresholds() {
+        let mut rng = rng();
+        let all_ones = BigUint::one().shl(256).sub(&BigUint::one());
+        let one = BigUint::one();
+        let odd = BigUint::random_exact_bits(&mut rng, 320);
+        let odd = if odd.is_even() { odd.add(&one) } else { odd };
+        let even = odd.add(&one);
+        for m in [&all_ones, &odd, &even] {
+            let base = BigUint::random_below(&mut rng, m);
+            for k in [23usize, 24, 25, 79, 80, 81, 239, 240, 241] {
+                let pow2 = one.shl(k);
+                for e in [pow2.clone(), pow2.sub(&one)] {
+                    assert_eq!(base.modpow(&e, m), naive_modpow(&base, &e, m), "m={m} e=2^{k}±");
+                    // m - 1 puts every limb at its largest residue.
+                    let top = m.sub(&one);
+                    assert_eq!(top.modpow(&e, m), naive_modpow(&top, &e, m), "m={m} e=2^{k}±");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rem_u64_matches_div_rem() {
+        let mut rng = rng();
+        for _ in 0..100 {
+            let bits = rng.random_range(0..300usize);
+            let a = BigUint::random_bits(&mut rng, bits);
+            let d = rng.random_range(1..u64::MAX);
+            assert_eq!(BigUint::from_u64(a.rem_u64(d)), a.rem(&BigUint::from_u64(d)));
+        }
+        assert_eq!(BigUint::zero().rem_u64(7), 0);
+        assert_eq!(BigUint::from_u64(u64::MAX).rem_u64(u64::MAX), 0);
     }
 
     #[test]

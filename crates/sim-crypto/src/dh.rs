@@ -7,6 +7,7 @@
 
 use crate::bigint::BigUint;
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// Diffie-Hellman group identifiers matching the HIP DIFFIE_HELLMAN
 /// parameter's Group ID field (RFC 5201 §5.2.6).
@@ -41,14 +42,17 @@ impl DhGroup {
         }
     }
 
-    /// The group prime.
-    pub fn prime(self) -> BigUint {
-        let hex = match self {
-            DhGroup::Modp1536 => MODP_1536,
-            DhGroup::Modp2048 => MODP_2048,
-            DhGroup::Test512 => TEST_512,
+    /// The group prime, parsed once per process.
+    pub fn prime(self) -> &'static BigUint {
+        static MODP_1536_P: OnceLock<BigUint> = OnceLock::new();
+        static MODP_2048_P: OnceLock<BigUint> = OnceLock::new();
+        static TEST_512_P: OnceLock<BigUint> = OnceLock::new();
+        let (cell, hex) = match self {
+            DhGroup::Modp1536 => (&MODP_1536_P, MODP_1536),
+            DhGroup::Modp2048 => (&MODP_2048_P, MODP_2048),
+            DhGroup::Test512 => (&TEST_512_P, TEST_512),
         };
-        BigUint::from_hex(hex).expect("built-in group prime parses")
+        cell.get_or_init(|| BigUint::from_hex(hex).expect("built-in group prime parses"))
     }
 
     /// The generator (2 for all supported groups).
@@ -91,7 +95,7 @@ impl DhKeyPair {
                 break x;
             }
         };
-        let public = group.generator().modpow(&private, &p);
+        let public = group.generator().modpow(&private, p);
         DhKeyPair { group, private, public }
     }
 
@@ -115,13 +119,13 @@ impl DhKeyPair {
         if y.is_zero() || y.is_one() {
             return None;
         }
-        if y.cmp_mag(&p) != std::cmp::Ordering::Less {
+        if y.cmp_mag(p) != std::cmp::Ordering::Less {
             return None;
         }
         if y == p.sub(&BigUint::one()) {
             return None;
         }
-        let secret = y.modpow(&self.private, &p);
+        let secret = y.modpow(&self.private, p);
         Some(secret.to_bytes_be_padded(self.group.public_len()))
     }
 }
@@ -178,6 +182,22 @@ mod tests {
     }
 
     #[test]
+    fn seeded_test_group_secret_matches_recorded_value() {
+        // Known answer: pins generation and agreement byte for byte
+        // across changes to the exponentiation.
+        let mut r = rng();
+        let a = DhKeyPair::generate(DhGroup::Test512, &mut r);
+        let b = DhKeyPair::generate(DhGroup::Test512, &mut r);
+        let secret = a.shared_secret(&b.public_bytes()).unwrap();
+        let hex: String = secret.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "31a344b5b467a281f78dfd4c8c694369e76e9074e5c01874d1da0ac109e56c60\
+             458e9192a1d1ef8a45e1447930cd32d0987a8a6e720500b58deac7e78501e25f"
+        );
+    }
+
+    #[test]
     fn agreement_modp2048() {
         let mut r = rng();
         let a = DhKeyPair::generate(DhGroup::Modp2048, &mut r);
@@ -216,6 +236,6 @@ mod tests {
         let mut r = rng();
         let p = DhGroup::Test512.prime();
         assert_eq!(p.bits(), 512);
-        assert!(crate::prime::is_probable_prime(&p, 16, &mut r));
+        assert!(crate::prime::is_probable_prime(p, 16, &mut r));
     }
 }

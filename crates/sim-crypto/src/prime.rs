@@ -27,11 +27,10 @@ pub fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rounds: u32, rng: &mut R)
         return false;
     }
     for &p in &SMALL_PRIMES {
-        let pb = BigUint::from_u64(p);
-        if n == &pb {
+        if n.bits() <= 64 && n.low_u64() == p {
             return true;
         }
-        if n.rem(&pb).is_zero() {
+        if n.rem_u64(p) == 0 {
             return false;
         }
     }

@@ -20,6 +20,10 @@ const SHA256_PREFIX: [u8; 19] = [
     0x05, 0x00, 0x04, 0x20,
 ];
 
+/// Smallest modulus, in bytes, that fits an EMSA-PKCS1-v1_5 SHA-256
+/// encoding: DigestInfo prefix, digest and at least 11 bytes of padding.
+const PKCS1_SHA256_MIN_LEN: usize = SHA256_PREFIX.len() + 32 + 11;
+
 /// An RSA public key `(n, e)`.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct RsaPublicKey {
@@ -97,9 +101,12 @@ impl RsaPublicKey {
     }
 
     /// Verifies a PKCS#1 v1.5 SHA-256 signature over `message`.
+    ///
+    /// A key whose modulus is too short to hold the encoding (possible
+    /// for one parsed off the wire) verifies nothing.
     pub fn verify(&self, message: &[u8], signature: &[u8]) -> bool {
         let k = self.modulus_len();
-        if signature.len() != k {
+        if k < PKCS1_SHA256_MIN_LEN || signature.len() != k {
             return false;
         }
         let s = BigUint::from_bytes_be(signature);
@@ -184,7 +191,7 @@ impl RsaPrivateKey {
 /// EMSA-PKCS1-v1_5 encoding of a SHA-256 digest into `k` bytes.
 fn encode_pkcs1(digest: &[u8; 32], k: usize) -> Vec<u8> {
     let t_len = SHA256_PREFIX.len() + digest.len();
-    assert!(k >= t_len + 11, "modulus too small for PKCS#1 SHA-256");
+    assert!(k >= PKCS1_SHA256_MIN_LEN, "modulus too small for PKCS#1 SHA-256");
     let mut em = Vec::with_capacity(k);
     em.push(0x00);
     em.push(0x01);
@@ -249,6 +256,31 @@ mod tests {
         let mut long = sig;
         long.push(0);
         assert!(!kp.public().verify(b"message", &long));
+    }
+
+    #[test]
+    fn verify_rejects_modulus_too_short_for_pkcs1() {
+        // n = 3, e = 3: parses, but no PKCS#1 SHA-256 encoding fits.
+        let key = RsaPublicKey::from_bytes(&[0, 0, 0, 1, 3, 0, 0, 0, 1, 3]).unwrap();
+        assert!(!key.verify(b"msg", &[1]));
+        // The largest modulus one byte short of the minimum is refused too.
+        let n = BigUint::one().shl(8 * (PKCS1_SHA256_MIN_LEN - 1)).sub(&BigUint::one());
+        let key = RsaPublicKey { n, e: BigUint::from_u64(65537) };
+        assert!(!key.verify(b"msg", &[1; PKCS1_SHA256_MIN_LEN - 1]));
+    }
+
+    #[test]
+    fn seeded_signature_matches_recorded_value() {
+        // Known answer: pins key generation (Miller–Rabin) and CRT
+        // signing byte for byte across changes to the exponentiation.
+        let kp = RsaKeyPair::generate(512, &mut rng());
+        let sig = kp.sign(b"the host identity protocol");
+        let hex: String = sig.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "00f0bd69adc0df4008b2a867d3873ce3e568c77861ab966aeee827c92b9a1089\
+             826b4e445685856927d0cc79b190a0564ad6c778ff5eaf8b22f779aff8e4d17c"
+        );
     }
 
     #[test]

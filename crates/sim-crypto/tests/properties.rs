@@ -87,6 +87,35 @@ proptest! {
     }
 
     #[test]
+    fn modpow_matches_square_and_multiply(
+        m_limbs in 1usize..10,
+        m_bytes in proptest::collection::vec(any::<u8>(), 72),
+        base_bytes in proptest::collection::vec(any::<u8>(), 144),
+        base_len in 0usize..145,
+        e_bytes in proptest::collection::vec(any::<u8>(), 0..76),
+    ) {
+        // A modulus of exactly m_limbs limbs (odd or even), a base up to
+        // twice its width (zero included), an exponent up to 600 bits.
+        let mut m_bytes = m_bytes[..8 * m_limbs].to_vec();
+        m_bytes[0] |= 0x80;
+        let m = BigUint::from_bytes_be(&m_bytes);
+        let base = BigUint::from_bytes_be(&base_bytes[..base_len % (16 * m_limbs + 1)]);
+        let e = BigUint::from_bytes_be(&e_bytes);
+        let square_and_multiply = |b: &BigUint| {
+            let mut acc = BigUint::one().rem(&m);
+            for i in (0..e.bits()).rev() {
+                acc = acc.mulmod(&acc, &m);
+                if e.bit(i) {
+                    acc = acc.mulmod(b, &m);
+                }
+            }
+            acc
+        };
+        prop_assert_eq!(base.modpow(&e, &m), square_and_multiply(&base));
+        prop_assert_eq!(BigUint::zero().modpow(&e, &m), square_and_multiply(&BigUint::zero()));
+    }
+
+    #[test]
     fn modinv_is_inverse(a in nonzero_biguint(), m in nonzero_biguint()) {
         prop_assume!(!m.is_one());
         if let Some(inv) = a.modinv(&m) {
