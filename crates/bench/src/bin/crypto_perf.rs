@@ -6,8 +6,8 @@
 //! Four measurements:
 //!
 //! 1. **AES-128-CBC** — encrypt + decrypt MB/s, T-table fast path vs
-//!    the byte-wise reference cipher (same `Aes128` key schedule, the
-//!    thread-local reference switch selects the implementation).
+//!    the byte-wise reference cipher (same `Aes128` key schedule, run
+//!    through the free functions in `sim_crypto::aes::reference`).
 //! 2. **AES-128-CTR** — keystream application MB/s, same comparison.
 //! 3. **HMAC-SHA-256** — ops/s at ESP-typical message sizes (64 B
 //!    control-packet scale, 1500 B MTU scale): per-SA cached
@@ -24,7 +24,7 @@
 use bench::report::{manifest, write_manifest};
 use hip_core::identity::Hit;
 use hip_core::puzzle;
-use sim_crypto::aes::{set_reference_mode, Aes128};
+use sim_crypto::aes::{reference, Aes128};
 use sim_crypto::hmac::{hmac_sha256, HmacKey};
 use std::time::Instant;
 
@@ -89,45 +89,45 @@ impl Comparison {
     }
 }
 
-/// AES mode throughput in MB/s, fast vs reference, with an equality
-/// check on the produced bytes.
+/// AES mode throughput in MB/s, `fast` vs `slow` (the same operation
+/// through the byte-wise reference), with an equality check on the
+/// produced bytes.
 fn aes_comparison(
     name: &'static str,
     buf_len: usize,
     passes: usize,
     reps: usize,
-    apply: impl Fn(&Aes128, &mut Vec<u8>),
+    fast: impl Fn(&Aes128, &mut Vec<u8>),
+    slow: impl Fn(&Aes128, &mut Vec<u8>),
 ) -> Comparison {
     let aes = Aes128::new(b"YELLOW SUBMARINE");
     let plaintext = pseudo_bytes(buf_len, 0xC0FF_EE00);
     let mb = (buf_len * passes) as f64 / 1e6;
+    let rate = |apply: &dyn Fn(&Aes128, &mut Vec<u8>)| {
+        best_rate(reps, mb, || {
+            for _ in 0..passes {
+                let mut buf = plaintext.clone();
+                apply(&aes, &mut buf);
+                std::hint::black_box(&buf);
+            }
+        })
+    };
 
     // Correctness gate: both paths must emit identical bytes.
     let mut fast_out = plaintext.clone();
-    apply(&aes, &mut fast_out);
-    set_reference_mode(true);
+    fast(&aes, &mut fast_out);
     let mut ref_out = plaintext.clone();
-    apply(&aes, &mut ref_out);
-    set_reference_mode(false);
+    slow(&aes, &mut ref_out);
     assert_eq!(fast_out, ref_out, "{name}: fast path and reference diverged");
 
-    let fast = best_rate(reps, mb, || {
-        for _ in 0..passes {
-            let mut buf = plaintext.clone();
-            apply(&aes, &mut buf);
-            std::hint::black_box(&buf);
-        }
-    });
-    set_reference_mode(true);
-    let reference = best_rate(reps, mb, || {
-        for _ in 0..passes {
-            let mut buf = plaintext.clone();
-            apply(&aes, &mut buf);
-            std::hint::black_box(&buf);
-        }
-    });
-    set_reference_mode(false);
-    Comparison { name, unit: "MB/s", fast, reference }
+    Comparison { name, unit: "MB/s", fast: rate(&fast), reference: rate(&slow) }
+}
+
+/// Byte-wise CBC encryption of `buf` in place (reference baseline).
+fn reference_cbc_encrypt(aes: &Aes128, iv: &[u8; 16], buf: &mut Vec<u8>) {
+    let mut ct = Vec::new();
+    reference::cbc_encrypt_into(aes, iv, buf, &mut ct);
+    *buf = ct;
 }
 
 /// HMAC ops/s at one message size: cached transcripts vs fresh keying.
@@ -200,22 +200,41 @@ fn main() {
 
     let iv = [0u8; 16];
     let comparisons = vec![
-        aes_comparison("aes128_cbc_encrypt", 64 * 1024, aes_passes, reps, move |aes, buf| {
-            *buf = aes.cbc_encrypt(&iv, buf);
-        }),
-        aes_comparison("aes128_cbc_decrypt", 64 * 1024, aes_passes, reps, {
-            move |aes, buf| {
-                // Bench the decrypt direction: pre-encrypt outside the
-                // closure would skew the buffer, so round-trip and keep
-                // only the decrypt inside the timed region via a
-                // prepared ciphertext per call.
+        aes_comparison(
+            "aes128_cbc_encrypt",
+            64 * 1024,
+            aes_passes,
+            reps,
+            |aes, buf| *buf = aes.cbc_encrypt(&iv, buf),
+            |aes, buf| reference_cbc_encrypt(aes, &iv, buf),
+        ),
+        // The decrypt direction round-trips each buffer (pre-encrypting
+        // outside the closure would skew the buffer), so it times an
+        // encrypt plus a decrypt on each side.
+        aes_comparison(
+            "aes128_cbc_decrypt",
+            64 * 1024,
+            aes_passes,
+            reps,
+            |aes, buf| {
                 let ct = aes.cbc_encrypt(&iv, buf);
                 *buf = aes.cbc_decrypt(&iv, &ct).expect("valid padding");
-            }
-        }),
-        aes_comparison("aes128_ctr", 64 * 1024, aes_passes, reps, move |aes, buf| {
-            aes.ctr_apply(&iv, buf);
-        }),
+            },
+            |aes, buf| {
+                reference_cbc_encrypt(aes, &iv, buf);
+                let mut pt = Vec::new();
+                assert!(reference::cbc_decrypt_into(aes, &iv, buf, &mut pt), "valid padding");
+                *buf = pt;
+            },
+        ),
+        aes_comparison(
+            "aes128_ctr",
+            64 * 1024,
+            aes_passes,
+            reps,
+            |aes, buf| aes.ctr_apply(&iv, buf),
+            |aes, buf| reference::ctr_apply(aes, &iv, buf),
+        ),
         hmac_comparison("hmac_sha256_64B", 64, hmac_ops, reps),
         hmac_comparison("hmac_sha256_1500B", 1500, hmac_ops / 4, reps),
         puzzle_comparison(12, puzzles, reps),

@@ -96,36 +96,6 @@ fn metrics_never_perturb_the_run() {
 }
 
 #[test]
-fn crypto_fast_path_is_bit_identical_to_reference() {
-    // The T-table AES fast path must be an implementation detail, not a
-    // behavioural change: a fig2-style RUBiS run (HIP: ESP + puzzle +
-    // BEX) and a tab_rt-style SSL run (TLS records + PRF) replayed with
-    // the byte-wise reference cipher must reproduce every observable
-    // bit-for-bit. Both runs happen on this thread, so the thread-local
-    // mode switch cannot leak into concurrently running tests.
-    struct ResetMode;
-    impl Drop for ResetMode {
-        fn drop(&mut self) {
-            sim_crypto::aes::set_reference_mode(false);
-        }
-    }
-    let _reset = ResetMode;
-    for (scenario, seed) in [(Scenario::HipLsi, 7u64), (Scenario::Ssl, 7u64)] {
-        sim_crypto::aes::set_reference_mode(false);
-        let fast = smoke_run(scenario, seed);
-        sim_crypto::aes::set_reference_mode(true);
-        let slow = smoke_run(scenario, seed);
-        assert!(fast.completed > 0, "{scenario:?}: smoke run must serve requests");
-        assert_eq!(fast.completed, slow.completed, "{scenario:?}: completed requests diverged");
-        assert_eq!(fast.errors, slow.errors, "{scenario:?}: errors diverged");
-        assert_eq!(fast.stats, slow.stats, "{scenario:?}: event counters diverged");
-        assert_eq!(fast.final_time_ns, slow.final_time_ns, "{scenario:?}: final time diverged");
-        assert_eq!(fast.trace, slow.trace, "{scenario:?}: traces diverged");
-        assert_eq!(fast.metrics_json, slow.metrics_json, "{scenario:?}: metrics diverged");
-    }
-}
-
-#[test]
 fn different_seeds_differ() {
     // Sanity check that the fingerprint is actually sensitive: two
     // different seeds should not collide on the full stats block.

@@ -305,13 +305,6 @@ impl CloudTopology {
         self.sim.schedule_fault(after, netsim::FaultAction::BurstStart { link: vm.link, loss });
         self.sim.schedule_fault(after + duration, netsim::FaultAction::BurstEnd { link: vm.link });
     }
-
-    /// Schedules an administrative cut of a VM's access link from
-    /// `after` until `after + duration` (a single-VM "partition").
-    pub fn cut_vm_link(&mut self, vm: VmHandle, after: SimDuration, duration: SimDuration) {
-        self.sim.schedule_fault(after, netsim::FaultAction::LinkDown(vm.link));
-        self.sim.schedule_fault(after + duration, netsim::FaultAction::LinkUp(vm.link));
-    }
 }
 
 #[cfg(test)]

@@ -11,13 +11,14 @@
 
 use bytes::Bytes;
 use netsim::packet::{
-    EspBatch, EspFrameMeta, EspGsoFrame, EspPacket, IcmpKind, IcmpMessage, Packet, Payload,
-    TcpFlags, TcpSegment, UdpData, UdpDatagram,
+    EspBatch, EspFrameMeta, EspPacket, IcmpKind, IcmpMessage, Packet, Payload, TcpFlags,
+    TcpSegment, UdpData, UdpDatagram,
 };
 use sim_crypto::aes::Aes128;
 use sim_crypto::hmac::{verify_mac, HmacKey};
 use std::net::IpAddr;
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// ICV length: HMAC-SHA-256 truncated to 16 bytes.
 pub const ICV_LEN: usize = 16;
@@ -38,10 +39,16 @@ pub enum EspError {
     BadInner,
 }
 
+/// Source of [`EspSa`] ids.
+static NEXT_SA_ID: AtomicU64 = AtomicU64::new(0);
+
 /// One direction of a security association.
 pub struct EspSa {
     /// The SPI identifying this SA at the receiver.
     pub spi: u32,
+    /// Process-unique id, only ever compared for equality: it tags the
+    /// batch plaintext this SA memoizes so no other SA can read it.
+    id: u64,
     cipher: Aes128,
     /// Cached HMAC transcripts for the auth key: the ipad/opad states
     /// are absorbed once at SA setup, then cloned per packet.
@@ -69,6 +76,7 @@ impl EspSa {
     pub fn new(spi: u32, enc_key: [u8; 16], auth_key: [u8; 32], inner_src: IpAddr, inner_dst: IpAddr) -> Self {
         EspSa {
             spi,
+            id: NEXT_SA_ID.fetch_add(1, Ordering::Relaxed),
             cipher: Aes128::new(&enc_key),
             auth: HmacKey::new(&auth_key),
             seq: 0,
@@ -83,43 +91,43 @@ impl EspSa {
     }
 
     /// Encapsulates a transport payload (with its identity-mode flag)
-    /// into an ESP packet. `iv_seed` supplies IV randomness.
+    /// into an ESP packet: a batch of one. `iv_seed` supplies IV
+    /// randomness.
     pub fn encapsulate(&mut self, mode: InnerMode, payload: &Payload, iv_seed: u64) -> EspPacket {
-        self.seq = self.seq.wrapping_add(1);
-        self.scratch.clear();
-        encode_inner_into(mode, payload, &mut self.scratch);
-        self.packets += 1;
-        self.bytes += self.scratch.len() as u64;
-        // IV derived from seed + seq (unique per packet).
-        let mut iv = [0u8; 16];
-        iv[..8].copy_from_slice(&iv_seed.to_be_bytes());
-        iv[8..12].copy_from_slice(&self.seq.to_be_bytes());
-        // The wire buffer becomes the packet's `Bytes` (one unavoidable
-        // allocation); the plaintext is ciphered straight into it after
-        // the IV, with no intermediate ciphertext vector.
-        let mut wire = Vec::with_capacity(16 + self.scratch.len() + 16);
-        wire.extend_from_slice(&iv);
-        self.cipher.cbc_encrypt_into(&iv, &self.scratch, &mut wire);
-        let icv = self.icv(self.seq, &wire);
-        EspPacket { spi: self.spi, seq: self.seq, ciphertext: Bytes::from(wire), icv: Bytes::copy_from_slice(&icv), gso: None }
+        let batch = self.seal(mode, std::slice::from_ref(payload), iv_seed);
+        EspPacket { spi: self.spi, seq: batch.first_seq, batch, index: 0 }
     }
 
-    /// Encapsulates a run of transport payloads as one GSO batch. Each
-    /// frame consumes its own (consecutive) sequence number and declares
+    /// Encapsulates a run of transport payloads as one batch. Each frame
+    /// consumes its own (consecutive) sequence number and declares
     /// exactly the wire length [`Self::encapsulate`] would have
     /// produced for it — per-frame link accounting is unchanged — but
     /// the AES-CBC pass and the ICV run once over the concatenated
     /// inner encodings. Returns one `EspPacket` per frame sharing the
     /// batch.
     pub fn encapsulate_gso(&mut self, mode: InnerMode, payloads: &[Payload], iv_seed: u64) -> Vec<EspPacket> {
+        let batch = self.seal(mode, payloads, iv_seed);
+        (0..payloads.len())
+            .map(|i| EspPacket {
+                spi: self.spi,
+                seq: batch.first_seq.wrapping_add(i as u32),
+                batch: Arc::clone(&batch),
+                index: i as u32,
+            })
+            .collect()
+    }
+
+    /// Seals `payloads` into one batch: consecutive sequence numbers,
+    /// one CBC pass under IV `iv_seed ‖ first_seq` and one ICV.
+    fn seal(&mut self, mode: InnerMode, payloads: &[Payload], iv_seed: u64) -> Arc<EspBatch> {
         let first_seq = self.seq.wrapping_add(1);
-        let mut concat = Vec::new();
+        self.scratch.clear();
         let mut frames = Vec::with_capacity(payloads.len());
         for p in payloads {
             self.seq = self.seq.wrapping_add(1);
-            let off = concat.len();
-            encode_inner_into(mode, p, &mut concat);
-            let inner_len = concat.len() - off;
+            let off = self.scratch.len();
+            encode_inner_into(mode, p, &mut self.scratch);
+            let inner_len = self.scratch.len() - off;
             self.packets += 1;
             self.bytes += inner_len as u64;
             frames.push(EspFrameMeta {
@@ -131,97 +139,45 @@ impl EspSa {
         let mut iv = [0u8; 16];
         iv[..8].copy_from_slice(&iv_seed.to_be_bytes());
         iv[8..12].copy_from_slice(&first_seq.to_be_bytes());
-        let mut wire = Vec::with_capacity(16 + concat.len() + 16);
+        // The wire buffer becomes the batch's `Bytes` (one unavoidable
+        // allocation); the plaintext is ciphered straight into it after
+        // the IV, with no intermediate ciphertext vector.
+        let mut wire = Vec::with_capacity(16 + self.scratch.len() + 16);
         wire.extend_from_slice(&iv);
-        self.cipher.cbc_encrypt_into(&iv, &concat, &mut wire);
+        self.cipher.cbc_encrypt_into(&iv, &self.scratch, &mut wire);
         let icv = self.icv(first_seq, &wire);
-        let batch = Arc::new(EspBatch {
-            first_seq,
-            ciphertext: Bytes::from(wire),
-            icv: Bytes::copy_from_slice(&icv),
-            frames,
-            plain: OnceLock::new(),
-        });
-        (0..payloads.len())
-            .map(|i| EspPacket {
-                spi: self.spi,
-                seq: first_seq.wrapping_add(i as u32),
-                ciphertext: Bytes::new(),
-                icv: Bytes::new(),
-                gso: Some(EspGsoFrame { batch: Arc::clone(&batch), index: i as u32 }),
-            })
-            .collect()
+        Arc::new(EspBatch::new(first_seq, Bytes::from(wire), Bytes::copy_from_slice(&icv), frames))
     }
 
     /// Authenticates, replay-checks and decrypts an inbound ESP packet,
-    /// returning the inner mode and payload.
+    /// returning the inner mode and payload. The batch is authenticated
+    /// and decrypted at most once per SA (memoized in the shared
+    /// [`EspBatch`]); replay protection, counters and inner parsing run
+    /// per frame in arrival order.
     pub fn decapsulate(&mut self, esp: &EspPacket) -> Result<(InnerMode, Payload), EspError> {
-        if let Some(frame) = &esp.gso {
-            return self.decapsulate_gso(esp.seq, frame);
-        }
-        // 1. Authenticate before anything else.
-        let expect = self.icv(esp.seq, &esp.ciphertext);
-        if !verify_mac(&expect, &esp.icv) {
+        // The ICV covers the batch's first sequence number, so a frame's
+        // own is authentic only at its position in the batch.
+        if esp.seq != esp.batch.first_seq.wrapping_add(esp.index) {
             return Err(EspError::BadIcv);
         }
-        // 2. Replay window.
+        // A batch failing authentication or decryption rejects every
+        // frame without touching the replay window.
+        let plain = esp.batch.plain_for(self.id, |b| self.open(b)).ok_or(EspError::BadIcv)?;
         self.check_replay(esp.seq)?;
-        // 3. Decrypt.
-        if esp.ciphertext.len() < 32 {
-            return Err(EspError::BadCiphertext);
-        }
-        let iv: [u8; 16] = esp.ciphertext[..16].try_into().expect("16 bytes");
-        self.scratch.clear();
-        if !self.cipher.cbc_decrypt_into(&iv, &esp.ciphertext[16..], &mut self.scratch) {
-            return Err(EspError::BadCiphertext);
-        }
-        self.packets += 1;
-        self.bytes += self.scratch.len() as u64;
-        decode_inner(&self.scratch).ok_or(EspError::BadInner)
-    }
-
-    /// Decapsulates one frame of a GSO batch. The batch is authenticated
-    /// and decrypted at most once (memoized in the shared [`EspBatch`]);
-    /// replay protection, counters and inner parsing still run per frame
-    /// in arrival order — exactly as unbatched.
-    fn decapsulate_gso(&mut self, seq: u32, frame: &EspGsoFrame) -> Result<(InnerMode, Payload), EspError> {
-        let batch = Arc::clone(&frame.batch);
-        let plain = match batch.plain.get() {
-            Some(cached) => cached.clone(),
-            None => {
-                // First frame of the batch to arrive: one ICV verify +
-                // one CBC pass, no matter how many frames follow. The
-                // sim is single-threaded, so get/set cannot race.
-                let computed = self.decrypt_batch(&batch);
-                let _ = batch.plain.set(computed.clone());
-                computed
-            }
-        };
-        let Some(plain) = plain else {
-            return Err(EspError::BadIcv);
-        };
-        self.check_replay(seq)?;
-        let meta = batch.frames.get(frame.index as usize).copied().ok_or(EspError::BadCiphertext)?;
+        let meta = esp.batch.frames.get(esp.index as usize).ok_or(EspError::BadCiphertext)?;
         let start = meta.inner_off as usize;
-        let end = start + meta.inner_len as usize;
-        if end > plain.len() {
-            return Err(EspError::BadCiphertext);
-        }
+        let inner = plain.get(start..start + meta.inner_len as usize).ok_or(EspError::BadCiphertext)?;
         self.packets += 1;
-        self.bytes += meta.inner_len as u64;
-        decode_inner(&plain[start..end]).ok_or(EspError::BadInner)
+        self.bytes += inner.len() as u64;
+        decode_inner(inner).ok_or(EspError::BadInner)
     }
 
-    /// Batch-level work for [`Self::decapsulate_gso`]: verify the ICV
-    /// over the whole batch ciphertext, then decrypt it. `None` means
-    /// authentication or decryption failed (every frame then reports
-    /// `BadIcv` without touching the replay window).
-    fn decrypt_batch(&mut self, batch: &EspBatch) -> Option<Bytes> {
+    /// Batch-level work for [`Self::decapsulate`]: verify the ICV over
+    /// the whole batch ciphertext, then decrypt it. `None` means
+    /// authentication or decryption failed.
+    fn open(&mut self, batch: &EspBatch) -> Option<Bytes> {
         let expect = self.icv(batch.first_seq, &batch.ciphertext);
-        if !verify_mac(&expect, &batch.icv) {
-            return None;
-        }
-        if batch.ciphertext.len() < 32 {
+        if !verify_mac(&expect, &batch.icv) || batch.ciphertext.len() < 32 {
             return None;
         }
         let iv: [u8; 16] = batch.ciphertext[..16].try_into().expect("16 bytes");
@@ -459,7 +415,7 @@ mod tests {
     fn encap_decap_round_trip_tcp() {
         let (mut tx, mut rx) = pair();
         let esp = tx.encapsulate(InnerMode::Hit, &tcp_payload(b"secret database query"), 42);
-        assert!(esp.ciphertext.len() >= 32);
+        assert!(esp.batch.ciphertext.len() >= 32);
         let (mode, payload) = rx.decapsulate(&esp).expect("valid");
         assert_eq!(mode, InnerMode::Hit);
         match payload {
@@ -476,7 +432,7 @@ mod tests {
     fn ciphertext_hides_plaintext() {
         let (mut tx, _) = pair();
         let esp = tx.encapsulate(InnerMode::Hit, &tcp_payload(b"plaintext marker AAAA"), 1);
-        let hay = esp.ciphertext.as_ref();
+        let hay = esp.batch.ciphertext.as_ref();
         let needle = b"plaintext marker";
         assert!(
             !hay.windows(needle.len()).any(|w| w == needle),
@@ -487,20 +443,16 @@ mod tests {
     #[test]
     fn tampered_ciphertext_rejected() {
         let (mut tx, mut rx) = pair();
-        let mut esp = tx.encapsulate(InnerMode::Hit, &tcp_payload(b"data"), 1);
-        let mut ct = esp.ciphertext.to_vec();
-        ct[20] ^= 0x01;
-        esp.ciphertext = Bytes::from(ct);
+        let esp = tx.encapsulate(InnerMode::Hit, &tcp_payload(b"data"), 1);
+        let esp = esp.edited(|ct, _| ct[20] ^= 0x01);
         assert!(matches!(rx.decapsulate(&esp), Err(EspError::BadIcv)));
     }
 
     #[test]
     fn tampered_icv_rejected() {
         let (mut tx, mut rx) = pair();
-        let mut esp = tx.encapsulate(InnerMode::Hit, &tcp_payload(b"data"), 1);
-        let mut icv = esp.icv.to_vec();
-        icv[0] ^= 0xff;
-        esp.icv = Bytes::from(icv);
+        let esp = tx.encapsulate(InnerMode::Hit, &tcp_payload(b"data"), 1);
+        let esp = esp.edited(|_, icv| icv[0] ^= 0xff);
         assert!(matches!(rx.decapsulate(&esp), Err(EspError::BadIcv)));
     }
 
@@ -644,18 +596,9 @@ mod tests {
         let (mut tx, mut rx) = pair();
         let payloads = [tcp_payload(b"a"), tcp_payload(b"b")];
         let mut frames = tx.encapsulate_gso(InnerMode::Hit, &payloads, 7);
-        let gso = frames[0].gso.as_ref().unwrap();
-        let mut ct = gso.batch.ciphertext.to_vec();
-        ct[20] ^= 0x01;
-        let bad = Arc::new(EspBatch {
-            first_seq: gso.batch.first_seq,
-            ciphertext: Bytes::from(ct),
-            icv: gso.batch.icv.clone(),
-            frames: gso.batch.frames.clone(),
-            plain: OnceLock::new(),
-        });
-        for (i, f) in frames.iter_mut().enumerate() {
-            f.gso = Some(EspGsoFrame { batch: Arc::clone(&bad), index: i as u32 });
+        let bad = frames[0].edited(|ct, _| ct[20] ^= 0x01).batch;
+        for f in &mut frames {
+            f.batch = Arc::clone(&bad);
             assert!(matches!(rx.decapsulate(f), Err(EspError::BadIcv)));
         }
         // Auth failure must not have consumed the sequence numbers.
@@ -677,5 +620,45 @@ mod tests {
         assert!(rx.decapsulate(&frames[0]).is_ok());
         assert!(rx.decapsulate(&frames[1]).is_ok());
         assert!(rx.decapsulate(&after).is_ok());
+    }
+
+    #[test]
+    fn lone_packet_is_a_batch_of_one() {
+        let (mut tx, _) = pair();
+        let esp = tx.encapsulate(InnerMode::Hit, &tcp_payload(b"alone"), 5);
+        assert_eq!((esp.index, esp.batch.first_seq, esp.batch.frames.len()), (0, esp.seq, 1));
+        // IV = iv_seed ‖ seq ‖ 0000.
+        let mut iv = [0u8; 16];
+        iv[..8].copy_from_slice(&5u64.to_be_bytes());
+        iv[8..12].copy_from_slice(&1u32.to_be_bytes());
+        assert_eq!(esp.batch.ciphertext[..16], iv);
+        assert_eq!(esp.wire_len(), 8 + esp.batch.ciphertext.len() + esp.batch.icv.len());
+    }
+
+    #[test]
+    fn frame_with_rewritten_sequence_number_rejected() {
+        let (mut tx, mut rx) = pair();
+        let esp = tx.encapsulate(InnerMode::Hit, &tcp_payload(b"once"), 1);
+        assert!(rx.decapsulate(&esp).is_ok());
+        // Replaying the frame under a fresh sequence number must not
+        // slip past the replay window.
+        let renumbered = EspPacket { seq: esp.seq + 1, ..esp.clone() };
+        assert!(matches!(rx.decapsulate(&renumbered), Err(EspError::BadIcv)));
+        let frames = tx.encapsulate_gso(InnerMode::Hit, &[tcp_payload(b"a"), tcp_payload(b"b")], 2);
+        let shifted = EspPacket { index: 1, ..frames[0].clone() };
+        assert!(matches!(rx.decapsulate(&shifted), Err(EspError::BadIcv)));
+        assert!(rx.decapsulate(&frames[0]).is_ok());
+        assert!(rx.decapsulate(&frames[1]).is_ok());
+    }
+
+    #[test]
+    fn memoized_batch_does_not_authenticate_frames_for_another_sa() {
+        let (mut tx, mut rx) = pair();
+        let mut other = EspSa::new(0x100, [9u8; 16], [9u8; 32], v4(1, 0, 0, 1), v4(1, 0, 0, 2));
+        let frames = tx.encapsulate_gso(InnerMode::Hit, &[tcp_payload(b"a"), tcp_payload(b"b")], 7);
+        assert!(rx.decapsulate(&frames[0]).is_ok());
+        assert!(matches!(other.decapsulate(&frames[1]), Err(EspError::BadIcv)));
+        // The right SA still reads its own memo.
+        assert!(rx.decapsulate(&frames[1]).is_ok());
     }
 }

@@ -817,62 +817,34 @@ impl HipShim {
     // Data plane
     // ------------------------------------------------------------------
 
+    /// Seals `pkt` into ESP and sends one wire packet per frame: the
+    /// MSS frames of a TCP super-segment (one AES-CBC/HMAC pass for the
+    /// whole burst), otherwise the packet alone. RNG draws, CPU charges,
+    /// stats and metrics are per frame, so batching is invisible to the
+    /// rest of the sim.
     fn encap_and_send(&mut self, api: &mut ShimApi, peer: Hit, pkt: Packet, extra_delay: SimDuration) {
-        if matches!(&pkt.payload, Payload::Tcp(seg) if seg.gso_mss > 0) {
-            return self.encap_and_send_gso(api, peer, pkt, extra_delay);
-        }
+        let split: Vec<Payload>;
+        let payloads = match &pkt.payload {
+            Payload::Tcp(seg) if seg.gso_mss > 0 => {
+                split = netsim::packet::split_gso(seg).into_iter().map(Payload::Tcp).collect();
+                &split[..]
+            }
+            p => std::slice::from_ref(p),
+        };
         let mode = if netsim::addr::is_lsi(&pkt.dst) { InnerMode::Lsi } else { InnerMode::Hit };
         let costs = self.config.costs;
         let Some(assoc) = self.assocs.get_mut(&peer) else { return };
         let Some(sa) = assoc.sa_out.as_mut() else {
-            self.stats.drops_no_sa += 1;
+            self.stats.drops_no_sa += payloads.len() as u64;
             return;
         };
-        let payload_len = pkt.payload.wire_len();
+        // One IV seed per frame keeps the RNG stream independent of
+        // batching; the batch IV uses the first.
         let iv_seed = api.random_u64();
-        let esp = sa.encapsulate(mode, &pkt.payload, iv_seed);
-        let wire = Packet::new(assoc.local_locator, assoc.peer_locator, Payload::Esp(esp));
-        let mut work = costs.symmetric(payload_len) + costs.hit_lookup;
-        if mode == InnerMode::Lsi {
-            work += costs.lsi_translation;
-        }
-        let delay = api.charge_cpu(work) + extra_delay;
-        self.stats.esp_out += 1;
-        self.stats.esp_bytes_out += payload_len as u64;
-        if let Some(c) = assoc.ctr_esp_out {
-            api.metrics().add(c, 1);
-        }
-        if api.metrics().is_enabled() {
-            api.metrics().observe_name("esp.encrypt", work.as_nanos());
-            api.metrics().observe_name("esp.out_bytes", payload_len as u64);
-        }
-        api.send_wire(delay, wire);
-    }
-
-    /// GSO fast path for TCP super-segments: one AES-CBC/HMAC pass over
-    /// the whole burst, while everything the rest of the sim can observe
-    /// — RNG draws, per-frame CPU charges, stats, metrics, and one wire
-    /// packet per MTU frame with unchanged lengths — matches what
-    /// per-MSS [`Self::encap_and_send`] calls would have produced.
-    fn encap_and_send_gso(&mut self, api: &mut ShimApi, peer: Hit, pkt: Packet, extra_delay: SimDuration) {
-        let Payload::Tcp(seg) = &pkt.payload else { return };
-        let frames = netsim::packet::split_gso(seg);
-        let mode = if netsim::addr::is_lsi(&pkt.dst) { InnerMode::Lsi } else { InnerMode::Hit };
-        let costs = self.config.costs;
-        let Some(assoc) = self.assocs.get_mut(&peer) else { return };
-        let Some(sa) = assoc.sa_out.as_mut() else {
-            // Unbatched mode would have seen one drop per frame.
-            self.stats.drops_no_sa += frames.len() as u64;
-            return;
-        };
-        // Unbatched sends draw one IV seed per frame; draw them all (the
-        // batch uses the first) so the RNG stream stays identical.
-        let iv_seed = api.random_u64();
-        for _ in 1..frames.len() {
+        for _ in 1..payloads.len() {
             let _ = api.random_u64();
         }
-        let payloads: Vec<Payload> = frames.into_iter().map(Payload::Tcp).collect();
-        let esps = sa.encapsulate_gso(mode, &payloads, iv_seed);
+        let esps = sa.encapsulate_gso(mode, payloads, iv_seed);
         let (local, remote) = (assoc.local_locator, assoc.peer_locator);
         let ctr = assoc.ctr_esp_out;
         for (payload, esp) in payloads.iter().zip(esps) {

@@ -19,18 +19,27 @@ use std::net::IpAddr;
 
 /// A malicious middlebox on the path between the two hosts. Forwards
 /// everything, but can also duplicate ESP packets (replay), flip bits
-/// (tamper), or inject pre-built packets.
+/// (tamper), or inject pre-built packets. It counts the ESP frames it
+/// passes toward `b` so tests can account for every one of them.
 struct Mitm {
     left: LinkId,
     right: LinkId,
     /// Duplicate every ESP packet (replay attack).
     replay_esp: bool,
-    /// Flip a ciphertext bit in every 3rd ESP packet (tamper attack;
-    /// an odd stride avoids parity-locking with retransmissions).
-    tamper_esp: bool,
+    /// Flip a ciphertext bit in every `tamper_every`-th ESP packet, 0
+    /// for never (tamper attack; an odd stride avoids parity-locking
+    /// with retransmissions).
+    tamper_every: u64,
     /// Packets to inject toward the right side at start.
     inject: Vec<Packet>,
     esp_seen: u64,
+    /// ESP frames forwarded toward `b`, tampered or not (replays not
+    /// counted).
+    esp_to_b: u64,
+    /// Of those, frames that were tampered.
+    tampered_to_b: u64,
+    /// Of those, tampered frames whose batch holds other frames.
+    tampered_batched_to_b: u64,
 }
 
 impl Node for Mitm {
@@ -44,12 +53,17 @@ impl Node for Mitm {
         let out = if iface == 0 { self.right } else { self.left };
         if let Payload::Esp(esp) = &pkt.payload {
             self.esp_seen += 1;
-            if self.tamper_esp && self.esp_seen.is_multiple_of(3) {
-                let mut tampered = esp.clone();
-                let mut ct = tampered.ciphertext.to_vec();
-                let mid = ct.len() / 2;
-                ct[mid] ^= 0x80;
-                tampered.ciphertext = Bytes::from(ct);
+            let to_b = iface == 0;
+            self.esp_to_b += u64::from(to_b);
+            if self.tamper_every > 0 && self.esp_seen.is_multiple_of(self.tamper_every) {
+                if to_b {
+                    self.tampered_to_b += 1;
+                    self.tampered_batched_to_b += u64::from(esp.batch.frames.len() > 1);
+                }
+                let tampered = esp.edited(|ct, _| {
+                    let mid = ct.len() / 2;
+                    ct[mid] ^= 0x80;
+                });
                 ctx.transmit(out, Packet::new(pkt.src, pkt.dst, Payload::Esp(tampered)));
                 return;
             }
@@ -107,12 +121,66 @@ struct World {
     sim: Sim,
     a: netsim::NodeId,
     b: netsim::NodeId,
+    m: netsim::NodeId,
     hit_a: Hit,
     hit_b: Hit,
 }
 
+/// Writes `total` bytes of [`pattern`] in one call once connected, so
+/// TCP emits multi-MSS super-segments that the shim seals as batches.
+struct BulkSender {
+    target: IpAddr,
+    total: usize,
+}
+impl App for BulkSender {
+    fn start(&mut self, api: &mut HostApi) {
+        api.tcp_connect(self.target, 9);
+    }
+    fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
+        if let AppEvent::Tcp(TcpEvent::Connected(s)) = ev {
+            api.tcp_send(s, &pattern(self.total));
+        }
+    }
+}
+
+/// Collects every byte received on port 9.
+#[derive(Default)]
+struct BulkSink {
+    got: Vec<u8>,
+}
+impl App for BulkSink {
+    fn start(&mut self, api: &mut HostApi) {
+        api.tcp_listen(9);
+    }
+    fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
+        if let AppEvent::Tcp(TcpEvent::Data(s)) = ev {
+            self.got.extend(api.tcp_recv(s));
+        }
+    }
+}
+
+fn pattern(len: usize) -> Vec<u8> {
+    (0..len).map(|i| (i * 7 % 251) as u8).collect()
+}
+
 /// a — mitm — b, HIP between a and b, chat app running.
 fn build(mitm_cfg: impl FnOnce(&mut Mitm), seed: u64) -> World {
+    build_with(
+        mitm_cfg,
+        seed,
+        |target| Box::new(Chat { target, rounds: 10, sent: 0, replies: 0 }),
+        Box::new(EchoServer),
+    )
+}
+
+/// a — mitm — b, HIP between a and b; `client(b's HIT)` runs on a and
+/// `server` on b.
+fn build_with(
+    mitm_cfg: impl FnOnce(&mut Mitm),
+    seed: u64,
+    client: impl FnOnce(IpAddr) -> Box<dyn App>,
+    server: Box<dyn App>,
+) -> World {
     let mut key_rng = StdRng::seed_from_u64(seed);
     let id_a = HostIdentity::generate_rsa(512, &mut key_rng);
     let id_b = HostIdentity::generate_rsa(512, &mut key_rng);
@@ -127,10 +195,10 @@ fn build(mitm_cfg: impl FnOnce(&mut Mitm), seed: u64) -> World {
     let mut sim = Sim::new(seed ^ 0xabc);
     let mut ha = Host::new("a");
     ha.set_shim(Box::new(shim_a));
-    ha.add_app(Box::new(Chat { target: hit_b.to_ip(), rounds: 10, sent: 0, replies: 0 }));
+    ha.add_app(client(hit_b.to_ip()));
     let mut hb = Host::new("b");
     hb.set_shim(Box::new(shim_b));
-    hb.add_app(Box::new(EchoServer));
+    hb.add_app(server);
 
     let a = sim.world.add_node(Box::new(ha));
     let b = sim.world.add_node(Box::new(hb));
@@ -138,9 +206,12 @@ fn build(mitm_cfg: impl FnOnce(&mut Mitm), seed: u64) -> World {
         left: LinkId(0),
         right: LinkId(1),
         replay_esp: false,
-        tamper_esp: false,
+        tamper_every: 0,
         inject: Vec::new(),
         esp_seen: 0,
+        esp_to_b: 0,
+        tampered_to_b: 0,
+        tampered_batched_to_b: 0,
     };
     mitm_cfg(&mut mitm);
     let m = sim.world.add_node(Box::new(mitm));
@@ -162,7 +233,7 @@ fn build(mitm_cfg: impl FnOnce(&mut Mitm), seed: u64) -> World {
     }
     sim.world.node_mut::<Host>(a).expect("a").core.add_iface(la, vec![addr_a]);
     sim.world.node_mut::<Host>(b).expect("b").core.add_iface(lb, vec![addr_b]);
-    World { sim, a, b, hit_a, hit_b }
+    World { sim, a, b, m, hit_a, hit_b }
 }
 
 fn shim_stats(sim: &Sim, node: netsim::NodeId) -> hip_core::HipStats {
@@ -181,7 +252,7 @@ fn replayed_esp_packets_are_dropped_and_chat_survives() {
 
 #[test]
 fn tampered_esp_packets_rejected_tcp_recovers() {
-    let mut w = build(|m| m.tamper_esp = true, 2);
+    let mut w = build(|m| m.tamper_every = 3, 2);
     w.sim.run_until(SimTime(60_000_000_000));
     let chat = w.sim.world.node::<Host>(w.a).expect("a").app::<Chat>(0).expect("chat");
     // TCP retransmits whatever the ICV check discarded; progress holds.
@@ -192,6 +263,57 @@ fn tampered_esp_packets_rejected_tcp_recovers() {
         sa.drops_auth + sb.drops_auth > 0,
         "tampered packets failed authentication: a={sa:?} b={sb:?}"
     );
+}
+
+/// A 256 KiB transfer a → b through the Mitm. Returns the world after
+/// the run, with the bytes b received.
+fn bulk_through_mitm(mitm_cfg: impl FnOnce(&mut Mitm), seed: u64) -> World {
+    let mut w = build_with(
+        mitm_cfg,
+        seed,
+        |target| Box::new(BulkSender { target, total: BULK_BYTES }),
+        Box::<BulkSink>::default(),
+    );
+    w.sim.run_until(SimTime(30_000_000_000));
+    w
+}
+
+const BULK_BYTES: usize = 256 * 1024;
+
+fn mitm(w: &World) -> &Mitm {
+    w.sim.world.node::<Mitm>(w.m).expect("mitm")
+}
+
+fn received(w: &World) -> &[u8] {
+    &w.sim.world.node::<Host>(w.b).expect("b").app::<BulkSink>(0).expect("sink").got
+}
+
+#[test]
+fn tampered_frames_of_esp_batches_rejected_siblings_delivered() {
+    let w = bulk_through_mitm(|m| m.tamper_every = 13, 6);
+    let m = mitm(&w);
+    let sb = shim_stats(&w.sim, w.b);
+    assert!(m.tampered_batched_to_b > 0, "the transfer was batched: {} tampered", m.tampered_to_b);
+    // Every tampered frame, and nothing else, failed authentication:
+    // the untampered frames of the same batches were all delivered.
+    assert_eq!(sb.drops_auth, m.tampered_to_b, "{sb:?}");
+    assert_eq!(sb.esp_in, m.esp_to_b - m.tampered_to_b, "{sb:?}");
+    assert_eq!(sb.drops_replay, 0);
+    assert!(received(&w) == pattern(BULK_BYTES), "TCP delivered {} exact bytes", received(&w).len());
+}
+
+#[test]
+fn replayed_frames_of_esp_batches_dropped_originals_delivered() {
+    let w = bulk_through_mitm(|m| m.replay_esp = true, 7);
+    let m = mitm(&w);
+    let sb = shim_stats(&w.sim, w.b);
+    assert!(m.esp_to_b > 0);
+    // Each frame is accepted once and its duplicate dropped as a replay,
+    // though the duplicate finds the batch already authenticated.
+    assert_eq!(sb.esp_in, m.esp_to_b, "{sb:?}");
+    assert_eq!(sb.drops_replay, m.esp_to_b, "{sb:?}");
+    assert_eq!(sb.drops_auth, 0);
+    assert!(received(&w) == pattern(BULK_BYTES), "TCP delivered {} exact bytes", received(&w).len());
 }
 
 #[test]
@@ -253,13 +375,12 @@ fn injected_esp_with_unknown_spi_is_dropped() {
     w.sim.run_until(SimTime(3_000_000_000));
     let before = shim_stats(&w.sim, w.b);
     // Garbage ESP aimed at b with a random SPI.
-    let esp = netsim::packet::EspPacket {
-        spi: 0x4141_4141,
-        seq: 1,
-        ciphertext: Bytes::from(vec![0x41u8; 64]),
-        icv: Bytes::from(vec![0x41u8; 16]),
-        gso: None,
-    };
+    let esp = netsim::packet::EspPacket::forged(
+        0x4141_4141,
+        1,
+        Bytes::from(vec![0x41u8; 64]),
+        Bytes::from(vec![0x41u8; 16]),
+    );
     w.sim.schedule(
         netsim::SimDuration::from_millis(1),
         netsim::Event::PacketArrive {

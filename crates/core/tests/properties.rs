@@ -155,11 +155,10 @@ proptest! {
             dst_port: 6,
             data: UdpData::Raw(Bytes::from(data)),
         });
-        let mut esp = tx.encapsulate(InnerMode::Hit, &payload, 7);
-        let mut ct = esp.ciphertext.to_vec();
-        let idx = flip_byte % ct.len();
-        ct[idx] ^= 0x01;
-        esp.ciphertext = Bytes::from(ct);
+        let esp = tx.encapsulate(InnerMode::Hit, &payload, 7).edited(|ct, _| {
+            let idx = flip_byte % ct.len();
+            ct[idx] ^= 0x01;
+        });
         prop_assert!(rx.decapsulate(&esp).is_err(), "any bit flip must be caught");
     }
 

@@ -307,11 +307,6 @@ impl World {
         id
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Immutable access to a node, downcast to `T`.
     ///
     /// # Panics

@@ -759,12 +759,6 @@ impl HostApi<'_, '_> {
         Some(self.core.tcp.connect(src, (remote, port), self.app_idx, iss, self.ctx.now))
     }
 
-    /// Opens a TCP connection from an explicit source address.
-    pub fn tcp_connect_from(&mut self, src: IpAddr, remote: IpAddr, port: u16) -> SockId {
-        let iss = self.ctx.random_u64() as u32;
-        self.core.tcp.connect(src, (remote, port), self.app_idx, iss, self.ctx.now)
-    }
-
     /// Queues bytes on a socket.
     pub fn tcp_send(&mut self, sock: SockId, data: &[u8]) {
         self.core.tcp.send(sock, data, self.ctx.now);
@@ -775,19 +769,9 @@ impl HostApi<'_, '_> {
         self.core.tcp.recv(sock)
     }
 
-    /// Bytes available to read.
-    pub fn tcp_recv_len(&self, sock: SockId) -> usize {
-        self.core.tcp.recv_len(sock)
-    }
-
     /// Bytes queued for transmission on a socket.
     pub fn tcp_buffered(&self, sock: SockId) -> usize {
         self.core.tcp.buffered(sock)
-    }
-
-    /// Remote endpoint of a socket.
-    pub fn tcp_peer(&self, sock: SockId) -> Option<(IpAddr, u16)> {
-        self.core.tcp.peer_of(sock)
     }
 
     /// Graceful close.

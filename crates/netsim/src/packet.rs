@@ -256,50 +256,56 @@ pub enum IcmpKind {
     Unreachable,
 }
 
-/// An IPsec ESP packet as produced by the HIP BEET data plane.
+/// An IPsec ESP packet as produced by the HIP BEET data plane: one
+/// frame of an [`EspBatch`]. A packet sealed on its own is a batch of
+/// one.
 #[derive(Clone, Debug)]
 pub struct EspPacket {
     /// Security Parameter Index identifying the SA at the receiver.
     pub spi: u32,
     /// Monotonic sequence number (anti-replay).
     pub seq: u32,
-    /// IV + AES-CBC ciphertext of the inner payload. Real bytes.
-    /// Empty when `gso` is set — the frame's bytes live in the batch.
-    pub ciphertext: Bytes,
-    /// Truncated HMAC-SHA-256 integrity check value. Real bytes.
-    /// Empty when `gso` is set.
-    pub icv: Bytes,
-    /// Present when this packet is one frame of a GSO batch that was
-    /// encrypted in a single pass. The per-frame wire length is still
-    /// declared exactly as unbatched encryption would have produced it.
-    pub gso: Option<EspGsoFrame>,
-}
-
-impl EspPacket {
-    /// Bytes this ESP payload occupies on the wire (excluding IP).
-    pub fn wire_len(&self) -> usize {
-        match &self.gso {
-            // SPI (4) + seq (4) + the frame's declared IV+ct+ICV bytes.
-            Some(f) => 8 + f.batch.frames[f.index as usize].wire_payload_len as usize,
-            None => 8 + self.ciphertext.len() + self.icv.len(),
-        }
-    }
-}
-
-/// One frame's view into a shared ESP GSO batch.
-#[derive(Clone, Debug)]
-pub struct EspGsoFrame {
     /// The batch this frame belongs to (shared by all its frames).
     pub batch: Arc<EspBatch>,
     /// Index into [`EspBatch::frames`].
     pub index: u32,
 }
 
-/// A batch of ESP frames encrypted with a single AES-CBC/HMAC pass
-/// over the concatenated inner encodings. Frames carry consecutive
-/// sequence numbers starting at `first_seq`; each declares the wire
-/// length unbatched per-frame encryption would have produced, so link
-/// accounting is unchanged.
+impl EspPacket {
+    /// A lone frame carrying arbitrary bytes that no SA sealed (an
+    /// attacker's injection, a forged or garbage packet). It declares
+    /// `ciphertext.len() + icv.len()` wire bytes and an empty inner
+    /// encoding.
+    pub fn forged(spi: u32, seq: u32, ciphertext: Bytes, icv: Bytes) -> Self {
+        let wire_payload_len = (ciphertext.len() + icv.len()) as u32;
+        let frames = vec![EspFrameMeta { inner_off: 0, inner_len: 0, wire_payload_len }];
+        EspPacket { spi, seq, batch: Arc::new(EspBatch::new(seq, ciphertext, icv, frames)), index: 0 }
+    }
+
+    /// A copy of this frame pointing at a fresh copy of its batch whose
+    /// ciphertext and ICV `edit` has rewritten (a tampering middlebox).
+    /// The copy has no memoized plaintext; the original batch and its
+    /// other frames are untouched.
+    pub fn edited(&self, edit: impl FnOnce(&mut Vec<u8>, &mut Vec<u8>)) -> Self {
+        let b = &self.batch;
+        let (mut ct, mut icv) = (b.ciphertext.to_vec(), b.icv.to_vec());
+        edit(&mut ct, &mut icv);
+        let batch = EspBatch::new(b.first_seq, Bytes::from(ct), Bytes::from(icv), b.frames.clone());
+        EspPacket { batch: Arc::new(batch), ..self.clone() }
+    }
+
+    /// Bytes this ESP payload occupies on the wire (excluding IP): SPI
+    /// (4) + seq (4) + the frame's declared IV+ct+ICV bytes.
+    pub fn wire_len(&self) -> usize {
+        8 + self.batch.frames[self.index as usize].wire_payload_len as usize
+    }
+}
+
+/// One or more ESP frames sealed with a single AES-CBC/HMAC pass over
+/// the concatenated inner encodings. Frames carry consecutive sequence
+/// numbers starting at `first_seq`; each declares the wire length it
+/// would occupy had it been sealed alone, so link accounting does not
+/// depend on how frames were batched.
 #[derive(Debug)]
 pub struct EspBatch {
     /// Sequence number of the first frame.
@@ -310,10 +316,34 @@ pub struct EspBatch {
     pub icv: Bytes,
     /// Per-frame offsets into the concatenated plaintext.
     pub frames: Vec<EspFrameMeta>,
-    /// Receiver-side memoized decrypt: `None` = batch failed
-    /// authentication/decryption; `Some` = the concatenated plaintext.
-    /// Initialized at most once no matter how many frames arrive.
-    pub plain: OnceLock<Option<Bytes>>,
+    /// Receiver-side memo: the id of the SA that verified and decrypted
+    /// the batch, and its result (`None` = failed).
+    memo: OnceLock<(u64, Option<Bytes>)>,
+}
+
+impl EspBatch {
+    /// A batch with nothing memoized yet.
+    pub fn new(first_seq: u32, ciphertext: Bytes, icv: Bytes, frames: Vec<EspFrameMeta>) -> Self {
+        EspBatch { first_seq, ciphertext, icv, frames, memo: OnceLock::new() }
+    }
+
+    /// The batch plaintext as the SA with id `sa` sees it, `None` if it
+    /// fails that SA's authentication or decryption. `open` runs at most
+    /// once for the first SA to ask, however many frames arrive; any
+    /// other SA runs its own `open` every time and never sees the first
+    /// SA's result.
+    pub fn plain_for(&self, sa: u64, open: impl FnOnce(&EspBatch) -> Option<Bytes>) -> Option<Bytes> {
+        match self.memo.get() {
+            Some((owner, plain)) if *owner == sa => plain.clone(),
+            Some(_) => open(self),
+            None => {
+                // The sim is single-threaded, so get/set cannot race.
+                let plain = open(self);
+                let _ = self.memo.set((sa, plain.clone()));
+                plain
+            }
+        }
+    }
 }
 
 /// Offsets of one frame inside an [`EspBatch`].
@@ -324,7 +354,7 @@ pub struct EspFrameMeta {
     /// Length of this frame's inner encoding.
     pub inner_len: u32,
     /// IV + ciphertext + ICV bytes this frame would occupy on the wire
-    /// had it been encrypted alone (analytic; excludes the 8-byte ESP
+    /// had it been sealed alone (analytic; excludes the 8-byte ESP
     /// header).
     pub wire_payload_len: u32,
 }
@@ -408,17 +438,8 @@ mod tests {
 
     #[test]
     fn esp_wire_len_counts_crypto_bytes() {
-        let pkt = Packet::new(
-            v4(1, 2, 3, 4),
-            v4(5, 6, 7, 8),
-            Payload::Esp(EspPacket {
-                spi: 0x1234,
-                seq: 9,
-                ciphertext: Bytes::from(vec![0u8; 64]),
-                icv: Bytes::from(vec![0u8; 16]),
-                gso: None,
-            }),
-        );
+        let esp = EspPacket::forged(0x1234, 9, Bytes::from(vec![0u8; 64]), Bytes::from(vec![0u8; 16]));
+        let pkt = Packet::new(v4(1, 2, 3, 4), v4(5, 6, 7, 8), Payload::Esp(esp));
         assert_eq!(pkt.wire_len(), 20 + 8 + 64 + 16);
     }
 
@@ -459,24 +480,43 @@ mod tests {
     }
 
     #[test]
-    fn gso_esp_frame_declares_unbatched_wire_len() {
-        let batch = Arc::new(EspBatch {
-            first_seq: 7,
-            ciphertext: Bytes::from(vec![0u8; 160]),
-            icv: Bytes::from(vec![0u8; 16]),
-            frames: vec![
-                EspFrameMeta { inner_off: 0, inner_len: 30, wire_payload_len: 16 + 32 + 16 },
-                EspFrameMeta { inner_off: 30, inner_len: 40, wire_payload_len: 16 + 48 + 16 },
-            ],
-            plain: OnceLock::new(),
-        });
-        let frame = EspPacket {
-            spi: 1,
-            seq: 8,
-            ciphertext: Bytes::new(),
-            icv: Bytes::new(),
-            gso: Some(EspGsoFrame { batch, index: 1 }),
-        };
+    fn esp_frame_declares_its_own_wire_len() {
+        let frames = vec![
+            EspFrameMeta { inner_off: 0, inner_len: 30, wire_payload_len: 16 + 32 + 16 },
+            EspFrameMeta { inner_off: 30, inner_len: 40, wire_payload_len: 16 + 48 + 16 },
+        ];
+        let batch = Arc::new(EspBatch::new(7, Bytes::from(vec![0u8; 160]), Bytes::from(vec![0u8; 16]), frames));
+        let frame = EspPacket { spi: 1, seq: 8, batch, index: 1 };
         assert_eq!(frame.wire_len(), 8 + 16 + 48 + 16);
+    }
+
+    #[test]
+    fn edited_frame_leaves_the_original_batch_alone() {
+        let esp = EspPacket::forged(1, 1, Bytes::from(vec![0u8; 32]), Bytes::from(vec![0u8; 16]));
+        let tampered = esp.edited(|ct, icv| {
+            ct[3] ^= 1;
+            icv[0] ^= 1;
+        });
+        assert_eq!(tampered.batch.ciphertext[3], 1);
+        assert_eq!(tampered.batch.icv[0], 1);
+        assert_eq!(tampered.wire_len(), esp.wire_len());
+        assert!(!Arc::ptr_eq(&esp.batch, &tampered.batch));
+        assert_eq!(esp.batch.ciphertext[3], 0);
+    }
+
+    #[test]
+    fn batch_memo_belongs_to_the_sa_that_computed_it() {
+        let batch = EspBatch::new(1, Bytes::new(), Bytes::new(), Vec::new());
+        let calls = std::cell::Cell::new(0);
+        let open = |ok: bool| {
+            calls.set(calls.get() + 1);
+            ok.then(|| Bytes::from_static(b"plain"))
+        };
+        assert!(batch.plain_for(1, |_| open(true)).is_some());
+        assert!(batch.plain_for(1, |_| open(false)).is_some(), "SA 1 reads its memo");
+        assert_eq!(calls.get(), 1);
+        assert!(batch.plain_for(2, |_| open(false)).is_none(), "SA 2 opens for itself");
+        assert!(batch.plain_for(2, |_| open(false)).is_none());
+        assert_eq!(calls.get(), 3);
     }
 }

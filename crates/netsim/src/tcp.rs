@@ -88,9 +88,6 @@ pub struct TcpConfig {
     pub rto_min: SimDuration,
     /// SYN retries before giving up.
     pub syn_retries: u32,
-    /// Disable congestion control (window limited by receiver only) —
-    /// not used by the experiments but handy for microbenchmarks.
-    pub congestion_control: bool,
     /// Sender-side segmentation offload policy (see [`GsoMode`]).
     pub gso: GsoMode,
 }
@@ -104,7 +101,6 @@ impl Default for TcpConfig {
             rto_initial: SimDuration::from_millis(1000),
             rto_min: SimDuration::from_millis(200),
             syn_retries: 5,
-            congestion_control: true,
             gso: GsoMode::Exact,
         }
     }
@@ -255,11 +251,6 @@ impl TcpLayer {
         true
     }
 
-    /// Stops listening on `port`.
-    pub fn unlisten(&mut self, port: u16) {
-        self.listeners.remove(&port);
-    }
-
     /// Opens a connection from `local_addr` to `remote`; `iss` is the
     /// initial sequence number (host supplies randomness).
     pub fn connect(
@@ -312,24 +303,6 @@ impl TcpLayer {
             .get(sock.0)
             .and_then(Option::as_ref)
             .map_or(0, |s| s.send_buf.len())
-    }
-
-    /// Bytes available without draining.
-    pub fn recv_len(&self, sock: SockId) -> usize {
-        self.sockets
-            .get(sock.0)
-            .and_then(Option::as_ref)
-            .map_or(0, |s| s.recv_buf.len())
-    }
-
-    /// The remote endpoint of a socket.
-    pub fn peer_of(&self, sock: SockId) -> Option<(IpAddr, u16)> {
-        self.sockets.get(sock.0).and_then(Option::as_ref).map(|s| s.remote)
-    }
-
-    /// The local endpoint of a socket.
-    pub fn local_of(&self, sock: SockId) -> Option<(IpAddr, u16)> {
-        self.sockets.get(sock.0).and_then(Option::as_ref).map(|s| s.local)
     }
 
     /// Whether the socket still exists (not fully closed).
@@ -596,13 +569,11 @@ impl TcpLayer {
                     }
                 }
                 // Congestion window growth.
-                if s.cfg.congestion_control {
-                    if s.cwnd < s.ssthresh {
-                        s.cwnd += (data_acked as u64).min(s.cfg.mss as u64);
-                    } else {
-                        let inc = (s.cfg.mss as u64 * s.cfg.mss as u64 / s.cwnd.max(1)).max(1);
-                        s.cwnd += inc;
-                    }
+                if s.cwnd < s.ssthresh {
+                    s.cwnd += (data_acked as u64).min(s.cfg.mss as u64);
+                } else {
+                    let inc = (s.cfg.mss as u64 * s.cfg.mss as u64 / s.cwnd.max(1)).max(1);
+                    s.cwnd += inc;
                 }
                 if s.snd_una == s.snd_nxt {
                     s.rtx_deadline = None;
@@ -627,7 +598,7 @@ impl TcpLayer {
             } else if ack == s.snd_una && s.snd_una != s.snd_nxt && seg.data.is_empty() {
                 // Duplicate ACK.
                 s.dup_acks += 1;
-                if s.dup_acks == 3 && s.cfg.congestion_control {
+                if s.dup_acks == 3 {
                     let flight = s.snd_nxt.wrapping_sub(s.snd_una) as u64;
                     s.ssthresh = (flight / 2).max(2 * s.cfg.mss as u64);
                     s.cwnd = s.ssthresh;
@@ -736,11 +707,6 @@ impl TcpLayer {
             *slot = None;
         }
     }
-
-    /// Number of live sockets (for tests/diagnostics).
-    pub fn open_sockets(&self) -> usize {
-        self.sockets.iter().filter(|s| s.is_some()).count()
-    }
 }
 
 impl TcpSocket {
@@ -828,11 +794,7 @@ impl TcpSocket {
         }
         let mut sent_any = false;
         let flight = self.snd_nxt.wrapping_sub(self.snd_una) as u64;
-        let wnd = if self.cfg.congestion_control {
-            self.cwnd.min(self.snd_wnd as u64)
-        } else {
-            self.snd_wnd as u64
-        };
+        let wnd = self.cwnd.min(self.snd_wnd as u64);
         // When a FIN is in flight the buffer offset excludes it.
         let burst_off = (self.snd_nxt.wrapping_sub(self.snd_una) as usize).min(self.send_buf.len());
         let burst_total = (self.send_buf.len() - burst_off)

@@ -223,13 +223,12 @@ impl Node for TeredoServer {
 
 /// The Teredo relay: bridges the UDP/IPv4 world and IPv6.
 ///
-/// Interface 0 faces the IPv4 network (clients); interface 1 (optional)
-/// faces a native IPv6 network.
+/// It faces the IPv4 network (clients) only: it hairpins client to
+/// client and drops traffic for native IPv6 destinations.
 pub struct TeredoRelay {
     /// The relay's IPv4 address.
     pub addr: Ipv4Addr,
     v4_link: LinkId,
-    v6_link: Option<LinkId>,
     /// Packets relayed client→client or client→v6 (diagnostics).
     pub relayed: u64,
 }
@@ -237,12 +236,7 @@ pub struct TeredoRelay {
 impl TeredoRelay {
     /// Creates a relay with its IPv4-facing link.
     pub fn new(addr: Ipv4Addr, v4_link: LinkId) -> Self {
-        TeredoRelay { addr, v4_link, v6_link: None, relayed: 0 }
-    }
-
-    /// Attaches a native-IPv6 link.
-    pub fn set_v6_link(&mut self, link: LinkId) {
-        self.v6_link = Some(link);
+        TeredoRelay { addr, v4_link, relayed: 0 }
     }
 
     /// Rebinds the IPv4 uplink (topology builders learn the id late).
@@ -280,12 +274,7 @@ impl Node for TeredoRelay {
                         }
                     }
                     IpAddr::V6(_) => {
-                        if let Some(link) = self.v6_link {
-                            self.relayed += 1;
-                            ctx.transmit(link, inner);
-                        } else {
-                            ctx.trace_drop(|| "relay: no v6 uplink".to_owned());
-                        }
+                        ctx.trace_drop(|| "relay: no v6 uplink".to_owned());
                     }
                     IpAddr::V4(_) => {
                         ctx.trace_drop(|| "relay: v4 inside teredo".to_owned());

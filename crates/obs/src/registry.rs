@@ -153,14 +153,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// By-name counter set (folding external totals into a dump).
-    pub fn set_counter_name(&mut self, name: &str, v: u64) {
-        if self.enabled {
-            let id = self.counter(name);
-            self.counters[id.0].1 = v;
-        }
-    }
-
     /// By-name gauge set (lazy registration; rare paths only).
     pub fn set_gauge_name(&mut self, name: &str, v: i64) {
         if self.enabled {

@@ -3,22 +3,22 @@
 //! This is the symmetric cipher for the HIP ESP-BEET data plane and the
 //! TLS record layer. Two implementations live here:
 //!
-//! - The **T-table fast path** (default): four 256×u32 encryption tables
-//!   and their inverses, built once via `OnceLock` *from the S-box itself*
-//!   (so a table bug cannot silently diverge from the byte-wise math —
-//!   both derive from the same constants), fuse SubBytes/ShiftRows/
-//!   MixColumns into one lookup-XOR round over four column words.
-//!   CBC folds the prev-block XOR into the first AddRoundKey, and CTR
-//!   runs a multi-block word-level keystream path.
-//! - The **byte-wise reference** ([`reference`]): the original
-//!   straightforward separate-pass implementation, kept as the oracle
-//!   for equivalence tests and selectable at runtime via
-//!   [`set_reference_mode`] so whole-simulation regression tests can
-//!   prove the fast path changes no output byte.
+//! - The **T-table fast path** ([`Aes128`]'s methods): four 256×u32
+//!   encryption tables and their inverses, built once via `OnceLock`
+//!   *from the S-box itself* (so a table bug cannot silently diverge
+//!   from the byte-wise math — both derive from the same constants),
+//!   fuse SubBytes/ShiftRows/MixColumns into one lookup-XOR round over
+//!   four column words. CBC folds the prev-block XOR into the first
+//!   AddRoundKey, and CTR runs a multi-block word-level keystream path.
+//! - The **byte-wise reference** ([`reference`](mod@reference)): the
+//!   original straightforward separate-pass implementation as free
+//!   functions mirroring every entry point (`encrypt_block`, `decrypt_block`,
+//!   `cbc_encrypt_into`, `cbc_decrypt_into`, `ctr_apply`). It is only
+//!   an oracle: proptests pin the fast path to it byte for byte, and
+//!   `crypto_perf` times it as the baseline. Nothing at runtime calls it.
 //!
 //! Both are pinned to the FIPS 197 / SP 800-38A vectors below.
 
-use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// AES block size in bytes.
@@ -75,22 +75,6 @@ fn gmul(a: u8, b: u8) -> u8 {
         b >>= 1;
     }
     p
-}
-
-thread_local! {
-    static REFERENCE_MODE: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Forces the byte-wise [`reference`] implementation for every AES call
-/// on the current thread. Used by regression tests to prove the T-table
-/// fast path is output-identical at whole-simulation scale.
-pub fn set_reference_mode(on: bool) {
-    REFERENCE_MODE.with(|m| m.set(on));
-}
-
-/// Whether [`set_reference_mode`] forced the byte-wise path on this thread.
-pub fn reference_mode() -> bool {
-    REFERENCE_MODE.with(|m| m.get())
 }
 
 /// The fused encryption/decryption lookup tables.
@@ -307,10 +291,6 @@ impl Aes128 {
 
     /// Encrypts one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
-        if reference_mode() {
-            reference::encrypt_block(self, block);
-            return;
-        }
         let t = tables();
         let mut s = load_words(block);
         for (w, k) in s.iter_mut().zip(&self.rk[0]) {
@@ -321,10 +301,6 @@ impl Aes128 {
 
     /// Decrypts one 16-byte block in place.
     pub fn decrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
-        if reference_mode() {
-            reference::decrypt_block(self, block);
-            return;
-        }
         let t = tables();
         let mut s = load_words(block);
         for (w, k) in s.iter_mut().zip(&self.dk[0]) {
@@ -355,22 +331,7 @@ impl Aes128 {
     /// association or prepend a header before the ciphertext.
     pub fn cbc_encrypt_into(&self, iv: &[u8; BLOCK_LEN], plaintext: &[u8], out: &mut Vec<u8>) {
         let start = out.len();
-        let pad = BLOCK_LEN - plaintext.len() % BLOCK_LEN;
-        out.reserve(plaintext.len() + pad);
-        out.extend_from_slice(plaintext);
-        out.extend(std::iter::repeat_n(pad as u8, pad));
-        if reference_mode() {
-            let mut prev = *iv;
-            for chunk in out[start..].chunks_mut(BLOCK_LEN) {
-                let block: &mut [u8; BLOCK_LEN] = chunk.try_into().expect("block");
-                for (b, p) in block.iter_mut().zip(&prev) {
-                    *b ^= p;
-                }
-                reference::encrypt_block(self, block);
-                prev = *block;
-            }
-            return;
-        }
+        pkcs7_pad(plaintext, out);
         let t = tables();
         let rk0 = self.rk[0];
         // The chaining XOR and round key 0 are folded into one pass.
@@ -404,44 +365,23 @@ impl Aes128 {
         }
         let start = out.len();
         out.extend_from_slice(ciphertext);
-        if reference_mode() {
-            let mut prev = *iv;
-            for chunk in out[start..].chunks_mut(BLOCK_LEN) {
-                let block: &mut [u8; BLOCK_LEN] = chunk.try_into().expect("block");
-                let saved = *block;
-                reference::decrypt_block(self, block);
-                for (b, p) in block.iter_mut().zip(&prev) {
-                    *b ^= p;
-                }
-                prev = saved;
+        let t = tables();
+        let dk0 = self.dk[0];
+        let mut prev = load_words(iv);
+        for chunk in out[start..].chunks_mut(BLOCK_LEN) {
+            let saved = load_words(chunk);
+            let mut s = saved;
+            for i in 0..4 {
+                s[i] ^= dk0[i];
             }
-        } else {
-            let t = tables();
-            let dk0 = self.dk[0];
-            let mut prev = load_words(iv);
-            for chunk in out[start..].chunks_mut(BLOCK_LEN) {
-                let saved = load_words(chunk);
-                let mut s = saved;
-                for i in 0..4 {
-                    s[i] ^= dk0[i];
-                }
-                let mut p = self.decrypt_words(t, s);
-                for i in 0..4 {
-                    p[i] ^= prev[i];
-                }
-                store_words(p, chunk);
-                prev = saved;
+            let mut p = self.decrypt_words(t, s);
+            for i in 0..4 {
+                p[i] ^= prev[i];
             }
+            store_words(p, chunk);
+            prev = saved;
         }
-        let pad = out[out.len() - 1] as usize;
-        if pad == 0 || pad > BLOCK_LEN || pad > out.len() - start
-            || !out[out.len() - pad..].iter().all(|&b| b == pad as u8)
-        {
-            out.truncate(start);
-            return false;
-        }
-        out.truncate(out.len() - pad);
-        true
+        pkcs7_unpad(out, start)
     }
 
     /// CTR-mode keystream XOR (encryption and decryption are identical).
@@ -451,17 +391,6 @@ impl Aes128 {
     /// block falls back to byte-wise XOR.
     pub fn ctr_apply(&self, nonce_counter: &[u8; BLOCK_LEN], data: &mut [u8]) {
         let mut counter = *nonce_counter;
-        if reference_mode() {
-            for chunk in data.chunks_mut(BLOCK_LEN) {
-                let mut keystream = counter;
-                reference::encrypt_block(self, &mut keystream);
-                for (d, k) in chunk.iter_mut().zip(keystream.iter()) {
-                    *d ^= k;
-                }
-                incr_counter(&mut counter);
-            }
-            return;
-        }
         let t = tables();
         let rk0 = self.rk[0];
         let mut chunks = data.chunks_exact_mut(BLOCK_LEN);
@@ -493,6 +422,28 @@ impl Aes128 {
     }
 }
 
+/// Appends `plaintext` and its PKCS#7 padding (always 1..=16 bytes).
+fn pkcs7_pad(plaintext: &[u8], out: &mut Vec<u8>) {
+    let pad = BLOCK_LEN - plaintext.len() % BLOCK_LEN;
+    out.reserve(plaintext.len() + pad);
+    out.extend_from_slice(plaintext);
+    out.extend(std::iter::repeat_n(pad as u8, pad));
+}
+
+/// Strips the PKCS#7 padding of the plaintext at `out[start..]`. On
+/// invalid padding, truncates `out` back to `start` and returns false.
+fn pkcs7_unpad(out: &mut Vec<u8>, start: usize) -> bool {
+    let pad = out[out.len() - 1] as usize;
+    if pad == 0 || pad > BLOCK_LEN || pad > out.len() - start
+        || !out[out.len() - pad..].iter().all(|&b| b == pad as u8)
+    {
+        out.truncate(start);
+        return false;
+    }
+    out.truncate(out.len() - pad);
+    true
+}
+
 /// Increments the trailing 32-bit big-endian counter of a CTR block.
 fn incr_counter(counter: &mut [u8; BLOCK_LEN]) {
     for i in (BLOCK_LEN - 4..BLOCK_LEN).rev() {
@@ -506,11 +457,63 @@ fn incr_counter(counter: &mut [u8; BLOCK_LEN]) {
 pub mod reference {
     //! The original byte-oriented AES implementation: separate SubBytes/
     //! ShiftRows/MixColumns/AddRoundKey passes, exactly as in FIPS 197's
-    //! pseudocode. Slower but obviously-correct; the T-table fast path is
-    //! proven equivalent to it by proptest (random keys/blocks) and by
-    //! whole-simulation regression runs under [`super::set_reference_mode`].
+    //! pseudocode, and CBC/CTR as plain loops over single blocks. Slower
+    //! but obviously correct; each function has the signature of the
+    //! [`Aes128`] method it mirrors (with the key as first argument), and
+    //! proptests prove the T-table fast path equivalent to it on random
+    //! keys, IVs and lengths.
 
-    use super::{inv_sbox, gmul, xtime, Aes128, BLOCK_LEN, SBOX};
+    use super::{
+        incr_counter, inv_sbox, gmul, pkcs7_pad, pkcs7_unpad, xtime, Aes128, BLOCK_LEN, SBOX,
+    };
+
+    /// Byte-wise [`Aes128::cbc_encrypt_into`].
+    pub fn cbc_encrypt_into(aes: &Aes128, iv: &[u8; BLOCK_LEN], plaintext: &[u8], out: &mut Vec<u8>) {
+        let start = out.len();
+        pkcs7_pad(plaintext, out);
+        let mut prev = *iv;
+        for chunk in out[start..].chunks_mut(BLOCK_LEN) {
+            let block: &mut [u8; BLOCK_LEN] = chunk.try_into().expect("block");
+            for (b, p) in block.iter_mut().zip(&prev) {
+                *b ^= p;
+            }
+            encrypt_block(aes, block);
+            prev = *block;
+        }
+    }
+
+    /// Byte-wise [`Aes128::cbc_decrypt_into`].
+    pub fn cbc_decrypt_into(aes: &Aes128, iv: &[u8; BLOCK_LEN], ciphertext: &[u8], out: &mut Vec<u8>) -> bool {
+        if ciphertext.is_empty() || !ciphertext.len().is_multiple_of(BLOCK_LEN) {
+            return false;
+        }
+        let start = out.len();
+        out.extend_from_slice(ciphertext);
+        let mut prev = *iv;
+        for chunk in out[start..].chunks_mut(BLOCK_LEN) {
+            let block: &mut [u8; BLOCK_LEN] = chunk.try_into().expect("block");
+            let saved = *block;
+            decrypt_block(aes, block);
+            for (b, p) in block.iter_mut().zip(&prev) {
+                *b ^= p;
+            }
+            prev = saved;
+        }
+        pkcs7_unpad(out, start)
+    }
+
+    /// Byte-wise [`Aes128::ctr_apply`].
+    pub fn ctr_apply(aes: &Aes128, nonce_counter: &[u8; BLOCK_LEN], data: &mut [u8]) {
+        let mut counter = *nonce_counter;
+        for chunk in data.chunks_mut(BLOCK_LEN) {
+            let mut keystream = counter;
+            encrypt_block(aes, &mut keystream);
+            for (d, k) in chunk.iter_mut().zip(keystream.iter()) {
+                *d ^= k;
+            }
+            incr_counter(&mut counter);
+        }
+    }
 
     /// Encrypts one block with the byte-wise reference rounds.
     pub fn encrypt_block(aes: &Aes128, block: &mut [u8; BLOCK_LEN]) {
@@ -752,22 +755,22 @@ mod tests {
     }
 
     #[test]
-    fn reference_mode_switches_implementation_not_output() {
+    fn cbc_and_ctr_match_reference() {
         let aes = Aes128::new(b"0123456789abcdef");
         let iv = *b"fedcba9876543210";
         let msg: Vec<u8> = (0..777).map(|i| (i * 13 % 256) as u8).collect();
         let fast_ct = aes.cbc_encrypt(&iv, &msg);
         let mut fast_ctr = msg.clone();
         aes.ctr_apply(&iv, &mut fast_ctr);
-        set_reference_mode(true);
-        let ref_ct = aes.cbc_encrypt(&iv, &msg);
+        let mut ref_ct = Vec::new();
+        reference::cbc_encrypt_into(&aes, &iv, &msg, &mut ref_ct);
         let mut ref_ctr = msg.clone();
-        aes.ctr_apply(&iv, &mut ref_ctr);
-        let ref_pt = aes.cbc_decrypt(&iv, &fast_ct);
-        set_reference_mode(false);
+        reference::ctr_apply(&aes, &iv, &mut ref_ctr);
+        let mut ref_pt = Vec::new();
+        assert!(reference::cbc_decrypt_into(&aes, &iv, &fast_ct, &mut ref_pt), "cross decrypt");
         assert_eq!(fast_ct, ref_ct, "CBC fast path must be byte-identical");
         assert_eq!(fast_ctr, ref_ctr, "CTR fast path must be byte-identical");
-        assert_eq!(ref_pt.as_deref(), Some(&msg[..]), "cross decrypt");
+        assert_eq!(ref_pt, msg);
         assert_eq!(aes.cbc_decrypt(&iv, &ref_ct).as_deref(), Some(&msg[..]));
     }
 
@@ -843,9 +846,7 @@ mod tests {
         let mut fast = vec![0u8; 50];
         aes.ctr_apply(&nonce, &mut fast);
         let mut slow = vec![0u8; 50];
-        set_reference_mode(true);
-        aes.ctr_apply(&nonce, &mut slow);
-        set_reference_mode(false);
+        reference::ctr_apply(&aes, &nonce, &mut slow);
         assert_eq!(fast, slow);
     }
 }

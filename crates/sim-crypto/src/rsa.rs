@@ -58,11 +58,6 @@ impl RsaPublicKey {
         self.n.to_bytes_be().len()
     }
 
-    /// Modulus size in bits.
-    pub fn modulus_bits(&self) -> usize {
-        self.n.bits()
-    }
-
     /// Serializes as `len(n) || n || len(e) || e` (big-endian u32 lengths).
     /// This is the canonical byte form hashed into a HIT.
     pub fn to_bytes(&self) -> Vec<u8> {

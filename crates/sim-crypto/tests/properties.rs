@@ -194,6 +194,63 @@ proptest! {
     }
 
     #[test]
+    fn cbc_encrypt_into_matches_reference(
+        key in any::<[u8; 16]>(),
+        iv in any::<[u8; 16]>(),
+        msg in proptest::collection::vec(any::<u8>(), 0..2048),
+        prefix in proptest::collection::vec(any::<u8>(), 1..40),
+    ) {
+        let aes = Aes128::new(&key);
+        let mut fast = prefix.clone();
+        aes.cbc_encrypt_into(&iv, &msg, &mut fast);
+        let mut slow = prefix.clone();
+        reference::cbc_encrypt_into(&aes, &iv, &msg, &mut slow);
+        prop_assert_eq!(&fast[..prefix.len()], &prefix[..], "the prefix is kept");
+        prop_assert_eq!(fast, slow);
+    }
+
+    #[test]
+    fn cbc_decrypt_into_matches_reference(
+        key in any::<[u8; 16]>(),
+        iv in any::<[u8; 16]>(),
+        msg in proptest::collection::vec(any::<u8>(), 0..2048),
+        garbage in proptest::collection::vec(any::<u8>(), 0..2048),
+        prefix in proptest::collection::vec(any::<u8>(), 1..40),
+    ) {
+        let aes = Aes128::new(&key);
+        let ct = aes.cbc_encrypt(&iv, &msg);
+        // A valid ciphertext, then arbitrary bytes of any length and of
+        // a whole number of blocks (bad length, bad padding): both paths
+        // must agree on the verdict and the output.
+        let blocks = &garbage[..garbage.len() / 16 * 16];
+        for input in [&ct[..], &garbage[..], blocks] {
+            let mut fast = prefix.clone();
+            let fast_ok = aes.cbc_decrypt_into(&iv, input, &mut fast);
+            let mut slow = prefix.clone();
+            let slow_ok = reference::cbc_decrypt_into(&aes, &iv, input, &mut slow);
+            prop_assert_eq!(fast_ok, slow_ok);
+            prop_assert_eq!(fast, slow);
+        }
+    }
+
+    #[test]
+    fn ctr_apply_matches_reference_across_counter_wrap(
+        key in any::<[u8; 16]>(),
+        nonce in any::<[u8; 16]>(),
+        msg in proptest::collection::vec(any::<u8>(), 0..2048),
+        below_wrap in 0u32..200,
+    ) {
+        let aes = Aes128::new(&key);
+        let mut counter = nonce;
+        counter[12..].copy_from_slice(&(0xffff_ffff - below_wrap).to_be_bytes());
+        let mut fast = msg.clone();
+        aes.ctr_apply(&counter, &mut fast);
+        let mut slow = msg;
+        reference::ctr_apply(&aes, &counter, &mut slow);
+        prop_assert_eq!(fast, slow);
+    }
+
+    #[test]
     fn aes_cbc_round_trips_all_short_lengths(
         key in any::<[u8; 16]>(),
         iv in any::<[u8; 16]>(),
