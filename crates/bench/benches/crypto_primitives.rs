@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::SeedableRng;
-use sim_crypto::aes::{reference, Aes128};
+use sim_crypto::aes::{portable, reference, Aes128};
 use sim_crypto::bigint::BigUint;
 use sim_crypto::dh::{DhGroup, DhKeyPair};
 use sim_crypto::hmac::{hmac_sha256, HmacKey};
@@ -48,12 +48,18 @@ fn bench_aes(c: &mut Criterion) {
             b.iter(|| aes.cbc_decrypt(&iv, std::hint::black_box(&ct)).expect("valid"))
         });
     }
-    // T-table fast path vs the retained byte-wise reference, single
-    // block, so the per-round cost difference is directly visible.
+    // Single block through the path this CPU selects (AES-NI where
+    // detected), the portable T-table path and the retained byte-wise
+    // reference, so the per-round cost difference is directly visible.
     let mut block = [0x5au8; 16];
-    g.bench_function("encrypt_block_ttable", |b| {
+    g.bench_function("encrypt_block_fast", |b| {
         b.iter(|| {
             aes.encrypt_block(std::hint::black_box(&mut block));
+        })
+    });
+    g.bench_function("encrypt_block_portable", |b| {
+        b.iter(|| {
+            portable::encrypt_block(&aes, std::hint::black_box(&mut block));
         })
     });
     g.bench_function("encrypt_block_reference", |b| {
@@ -61,9 +67,14 @@ fn bench_aes(c: &mut Criterion) {
             reference::encrypt_block(&aes, std::hint::black_box(&mut block));
         })
     });
-    g.bench_function("decrypt_block_ttable", |b| {
+    g.bench_function("decrypt_block_fast", |b| {
         b.iter(|| {
             aes.decrypt_block(std::hint::black_box(&mut block));
+        })
+    });
+    g.bench_function("decrypt_block_portable", |b| {
+        b.iter(|| {
+            portable::decrypt_block(&aes, std::hint::black_box(&mut block));
         })
     });
     g.bench_function("decrypt_block_reference", |b| {

@@ -3,11 +3,17 @@
 //! byte-wise/one-shot reference, so speedups (and regressions) are
 //! visible across PRs.
 //!
+//! The fast path is whatever backend this CPU selects; the run prints
+//! and records which (`aes: aes-ni|t-table`, `sha256: sha-ni|scalar`).
+//!
 //! Four measurements:
 //!
-//! 1. **AES-128-CBC** — encrypt + decrypt MB/s, T-table fast path vs
-//!    the byte-wise reference cipher (same `Aes128` key schedule, run
-//!    through the free functions in `sim_crypto::aes::reference`).
+//! 1. **AES-128-CBC** — encrypt + decrypt MB/s, fast path vs the
+//!    byte-wise reference cipher (same `Aes128` key schedule, run
+//!    through the free functions in `sim_crypto::aes::reference`). A
+//!    third column times the portable T-table path
+//!    (`sim_crypto::aes::portable`), so its speed stays visible on a
+//!    CPU that runs AES-NI.
 //! 2. **AES-128-CTR** — keystream application MB/s, same comparison.
 //! 3. **HMAC-SHA-256** — ops/s at ESP-typical message sizes (64 B
 //!    control-packet scale, 1500 B MTU scale): per-SA cached
@@ -15,8 +21,8 @@
 //! 4. **HIP puzzle** — solves/s at a fixed difficulty: midstate-reused
 //!    solver vs re-hashing all four segments per candidate `J`.
 //!
-//! Every comparison first asserts the two paths produce identical
-//! bytes, then reports the throughput ratio. Writes
+//! Every comparison first asserts the paths produce identical bytes,
+//! then reports the fast/reference throughput ratio. Writes
 //! `results/crypto_perf.json` plus a run manifest.
 //!
 //! Usage: `cargo run -p bench --release --bin crypto_perf [-- quick]`
@@ -24,8 +30,9 @@
 use bench::report::{manifest, write_manifest};
 use hip_core::identity::Hit;
 use hip_core::puzzle;
-use sim_crypto::aes::{reference, Aes128};
+use sim_crypto::aes::{self, portable, reference, Aes128};
 use sim_crypto::hmac::{hmac_sha256, HmacKey};
+use sim_crypto::sha256;
 use std::time::Instant;
 
 /// xorshift64*: deterministic payload bytes without a RNG dependency.
@@ -60,6 +67,8 @@ struct Comparison {
     name: &'static str,
     unit: &'static str,
     fast: f64,
+    /// The portable T-table path, for the AES rows.
+    portable: Option<f64>,
     reference: f64,
 }
 
@@ -68,8 +77,12 @@ impl Comparison {
         self.fast / self.reference
     }
     fn print(&self) {
+        let portable = match self.portable {
+            Some(p) => format!("{p:>12.1} {}", self.unit),
+            None => format!("{:>12} {}", "-", self.unit),
+        };
         println!(
-            "  {:<28} fast {:>12.1} {unit}  reference {:>12.1} {unit}  speedup {:.2}x",
+            "  {:<28} fast {:>12.1} {unit}  portable {portable}  reference {:>12.1} {unit}  speedup {:.2}x",
             self.name,
             self.fast,
             self.reference,
@@ -78,8 +91,9 @@ impl Comparison {
         );
     }
     fn json(&self) -> String {
+        let portable = self.portable.map_or("null".to_string(), |p| format!("{p:.1}"));
         format!(
-            "    \"{}\": {{ \"unit\": \"{}\", \"fast\": {:.1}, \"reference\": {:.1}, \"speedup\": {:.3} }}",
+            "    \"{}\": {{ \"unit\": \"{}\", \"fast\": {:.1}, \"portable\": {portable}, \"reference\": {:.1}, \"speedup\": {:.3} }}",
             self.name,
             self.unit,
             self.fast,
@@ -89,15 +103,16 @@ impl Comparison {
     }
 }
 
-/// AES mode throughput in MB/s, `fast` vs `slow` (the same operation
-/// through the byte-wise reference), with an equality check on the
-/// produced bytes.
+/// AES mode throughput in MB/s, `fast` vs `portable` (the T-table
+/// path) vs `slow` (the byte-wise reference), with an equality check on
+/// the produced bytes.
 fn aes_comparison(
     name: &'static str,
     buf_len: usize,
     passes: usize,
     reps: usize,
     fast: impl Fn(&Aes128, &mut Vec<u8>),
+    portable: impl Fn(&Aes128, &mut Vec<u8>),
     slow: impl Fn(&Aes128, &mut Vec<u8>),
 ) -> Comparison {
     let aes = Aes128::new(b"YELLOW SUBMARINE");
@@ -113,21 +128,49 @@ fn aes_comparison(
         })
     };
 
-    // Correctness gate: both paths must emit identical bytes.
+    // Correctness gate: all three paths must emit identical bytes.
     let mut fast_out = plaintext.clone();
     fast(&aes, &mut fast_out);
+    let mut portable_out = plaintext.clone();
+    portable(&aes, &mut portable_out);
     let mut ref_out = plaintext.clone();
     slow(&aes, &mut ref_out);
     assert_eq!(fast_out, ref_out, "{name}: fast path and reference diverged");
+    assert_eq!(portable_out, ref_out, "{name}: portable path and reference diverged");
 
-    Comparison { name, unit: "MB/s", fast: rate(&fast), reference: rate(&slow) }
+    Comparison {
+        name,
+        unit: "MB/s",
+        fast: rate(&fast),
+        portable: Some(rate(&portable)),
+        reference: rate(&slow),
+    }
 }
 
-/// Byte-wise CBC encryption of `buf` in place (reference baseline).
-fn reference_cbc_encrypt(aes: &Aes128, iv: &[u8; 16], buf: &mut Vec<u8>) {
+/// The signature the `portable` and `reference` CBC encryptors share.
+type CbcEncryptInto = fn(&Aes128, &[u8; 16], &[u8], &mut Vec<u8>);
+/// The signature the `portable` and `reference` CBC decryptors share.
+type CbcDecryptInto = fn(&Aes128, &[u8; 16], &[u8], &mut Vec<u8>) -> bool;
+
+/// CBC encryption of `buf` in place through a free-function path.
+fn cbc_encrypt_with(encrypt: CbcEncryptInto, aes: &Aes128, iv: &[u8; 16], buf: &mut Vec<u8>) {
     let mut ct = Vec::new();
-    reference::cbc_encrypt_into(aes, iv, buf, &mut ct);
+    encrypt(aes, iv, buf, &mut ct);
     *buf = ct;
+}
+
+/// CBC encrypt-then-decrypt of `buf` in place through a free-function path.
+fn cbc_round_trip_with(
+    encrypt: CbcEncryptInto,
+    decrypt: CbcDecryptInto,
+    aes: &Aes128,
+    iv: &[u8; 16],
+    buf: &mut Vec<u8>,
+) {
+    cbc_encrypt_with(encrypt, aes, iv, buf);
+    let mut pt = Vec::new();
+    assert!(decrypt(aes, iv, buf, &mut pt), "valid padding");
+    *buf = pt;
 }
 
 /// HMAC ops/s at one message size: cached transcripts vs fresh keying.
@@ -150,7 +193,7 @@ fn hmac_comparison(name: &'static str, msg_len: usize, ops: usize, reps: usize) 
             ));
         }
     });
-    Comparison { name, unit: "ops/s", fast, reference }
+    Comparison { name, unit: "ops/s", fast, portable: None, reference }
 }
 
 /// Brute-force puzzle solver that re-hashes every segment per attempt —
@@ -187,7 +230,7 @@ fn puzzle_comparison(k: u8, puzzles: usize, reps: usize) -> Comparison {
             std::hint::black_box(solve_reference(i, k, &hi, &hr, 0));
         }
     });
-    Comparison { name: "puzzle_k12", unit: "solves/s", fast, reference }
+    Comparison { name: "puzzle_k12", unit: "solves/s", fast, portable: None, reference }
 }
 
 fn main() {
@@ -197,6 +240,8 @@ fn main() {
 
     let start = Instant::now();
     println!("crypto fast path vs reference ({})", if quick { "quick" } else { "default" });
+    let (aes_backend, sha256_backend) = (aes::backend(), sha256::backend());
+    println!("  backends: aes: {aes_backend}, sha256: {sha256_backend}");
 
     let iv = [0u8; 16];
     let comparisons = vec![
@@ -206,7 +251,8 @@ fn main() {
             aes_passes,
             reps,
             |aes, buf| *buf = aes.cbc_encrypt(&iv, buf),
-            |aes, buf| reference_cbc_encrypt(aes, &iv, buf),
+            |aes, buf| cbc_encrypt_with(portable::cbc_encrypt_into, aes, &iv, buf),
+            |aes, buf| cbc_encrypt_with(reference::cbc_encrypt_into, aes, &iv, buf),
         ),
         // The decrypt direction round-trips each buffer (pre-encrypting
         // outside the closure would skew the buffer), so it times an
@@ -221,10 +267,10 @@ fn main() {
                 *buf = aes.cbc_decrypt(&iv, &ct).expect("valid padding");
             },
             |aes, buf| {
-                reference_cbc_encrypt(aes, &iv, buf);
-                let mut pt = Vec::new();
-                assert!(reference::cbc_decrypt_into(aes, &iv, buf, &mut pt), "valid padding");
-                *buf = pt;
+                cbc_round_trip_with(portable::cbc_encrypt_into, portable::cbc_decrypt_into, aes, &iv, buf)
+            },
+            |aes, buf| {
+                cbc_round_trip_with(reference::cbc_encrypt_into, reference::cbc_decrypt_into, aes, &iv, buf)
             },
         ),
         aes_comparison(
@@ -233,6 +279,7 @@ fn main() {
             aes_passes,
             reps,
             |aes, buf| aes.ctr_apply(&iv, buf),
+            |aes, buf| portable::ctr_apply(aes, &iv, buf),
             |aes, buf| reference::ctr_apply(aes, &iv, buf),
         ),
         hmac_comparison("hmac_sha256_64B", 64, hmac_ops, reps),
@@ -254,7 +301,7 @@ fn main() {
     std::fs::create_dir_all("results").expect("mkdir results");
     let body: Vec<String> = comparisons.iter().map(Comparison::json).collect();
     let json = format!(
-        "{{\n  \"mode\": \"{}\",\n  \"comparisons\": {{\n{}\n  }}\n}}\n",
+        "{{\n  \"mode\": \"{}\",\n  \"backends\": {{ \"aes\": \"{aes_backend}\", \"sha256\": \"{sha256_backend}\" }},\n  \"comparisons\": {{\n{}\n  }}\n}}\n",
         if quick { "quick" } else { "default" },
         body.join(",\n")
     );
@@ -262,10 +309,14 @@ fn main() {
     println!("wrote results/crypto_perf.json");
 
     let mut m = manifest("crypto_perf", if quick { "quick" } else { "default" }, 0);
+    m.str_field("backend_aes", aes_backend).str_field("backend_sha256", sha256_backend);
     for c in &comparisons {
         m.num(&format!("{}_fast", c.name), format!("{:.1}", c.fast))
             .num(&format!("{}_reference", c.name), format!("{:.1}", c.reference))
             .num(&format!("{}_speedup", c.name), format!("{:.3}", c.speedup()));
+        if let Some(p) = c.portable {
+            m.num(&format!("{}_portable", c.name), format!("{p:.1}"));
+        }
     }
     match write_manifest(m, wall, 0, &obs::MetricsRegistry::new()) {
         Ok(path) => eprintln!("wrote {}", path.display()),

@@ -10,6 +10,7 @@
 //! - [`migration`] — cross-subnet VM migration announced over HIP
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod flavor;
 pub mod migration;

@@ -19,6 +19,7 @@
 //!   count, full metric dump.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod hist;
 pub mod json;

@@ -1,25 +1,35 @@
 //! AES-128 (FIPS 197) with CBC and CTR modes.
 //!
 //! This is the symmetric cipher for the HIP ESP-BEET data plane and the
-//! TLS record layer. Two implementations live here:
+//! TLS record layer. Three implementations live here:
 //!
-//! - The **T-table fast path** ([`Aes128`]'s methods): four 256×u32
+//! - The **AES-NI kernels** (private `ni` module, x86-64 only): one
+//!   `aesenc`/`aesdec` per round, CBC decryption and CTR pipelined four
+//!   blocks per iteration. [`Aes128`]'s methods run them whenever the
+//!   CPU reports AES-NI and SSSE3 at runtime.
+//! - The **portable T-table path** ([`portable`]): four 256×u32
 //!   encryption tables and their inverses, built once via `OnceLock`
 //!   *from the S-box itself* (so a table bug cannot silently diverge
 //!   from the byte-wise math — both derive from the same constants),
 //!   fuse SubBytes/ShiftRows/MixColumns into one lookup-XOR round over
 //!   four column words. CBC folds the prev-block XOR into the first
 //!   AddRoundKey, and CTR runs a multi-block word-level keystream path.
+//!   [`Aes128`]'s methods fall back to it on CPUs without AES-NI.
 //! - The **byte-wise reference** ([`reference`](mod@reference)): the
 //!   original straightforward separate-pass implementation as free
 //!   functions mirroring every entry point (`encrypt_block`, `decrypt_block`,
 //!   `cbc_encrypt_into`, `cbc_decrypt_into`, `ctr_apply`). It is only
-//!   an oracle: proptests pin the fast path to it byte for byte, and
+//!   an oracle: proptests pin both other paths to it byte for byte, and
 //!   `crypto_perf` times it as the baseline. Nothing at runtime calls it.
 //!
-//! Both are pinned to the FIPS 197 / SP 800-38A vectors below.
+//! All three share one key schedule and are pinned to the FIPS 197 /
+//! SP 800-38A vectors below. Nothing selects a backend but the CPU:
+//! [`backend`] names the one in use.
 
 use std::sync::OnceLock;
+
+#[cfg(target_arch = "x86_64")]
+mod ni;
 
 /// AES block size in bytes.
 pub const BLOCK_LEN: usize = 16;
@@ -146,12 +156,14 @@ fn store_words(w: [u32; 4], block: &mut [u8]) {
     block[12..16].copy_from_slice(&w[3].to_be_bytes());
 }
 
-/// An expanded AES-128 key: byte round keys (for the [`reference`]
-/// path), word round keys (fast encrypt) and the InvMixColumns-folded
-/// decryption round keys (fast decrypt, equivalent inverse cipher).
+/// An expanded AES-128 key: the round keys as big-endian column words
+/// and the InvMixColumns-folded decryption round keys (equivalent
+/// inverse cipher), both in the form the T-table rounds use. The AES-NI
+/// kernels and the byte-wise [`reference`](mod@reference) derive the
+/// byte order they need as they load a round key, so the key holds no
+/// third copy.
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; 11],
     rk: [[u32; 4]; 11],
     dk: [[u32; 4]; 11],
 }
@@ -176,15 +188,9 @@ impl Aes128 {
                 w[i][j] = w[i - 4][j] ^ temp[j];
             }
         }
-        let mut round_keys = [[0u8; 16]; 11];
-        for (r, rk) in round_keys.iter_mut().enumerate() {
-            for c in 0..4 {
-                rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
-            }
-        }
         let mut rk = [[0u32; 4]; 11];
-        for (r, words) in rk.iter_mut().enumerate() {
-            *words = load_words(&round_keys[r]);
+        for (words, bytes) in rk.as_flattened_mut().iter_mut().zip(&w) {
+            *words = u32::from_be_bytes(*bytes);
         }
         // Equivalent inverse cipher: decryption round keys are the
         // encryption keys in reverse order, with InvMixColumns applied
@@ -197,7 +203,7 @@ impl Aes128 {
                 dk[r][c] = inv_mix_word(rk[10 - r][c]);
             }
         }
-        Aes128 { round_keys, rk, dk }
+        Aes128 { rk, dk }
     }
 
     /// One fused table round per call site: 9 main rounds + the S-box
@@ -291,22 +297,20 @@ impl Aes128 {
 
     /// Encrypts one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
-        let t = tables();
-        let mut s = load_words(block);
-        for (w, k) in s.iter_mut().zip(&self.rk[0]) {
-            *w ^= k;
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = ni::detect() {
+            return ni.encrypt_block(self, block);
         }
-        store_words(self.encrypt_words(t, s), block);
+        portable::encrypt_block(self, block)
     }
 
     /// Decrypts one 16-byte block in place.
     pub fn decrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
-        let t = tables();
-        let mut s = load_words(block);
-        for (w, k) in s.iter_mut().zip(&self.dk[0]) {
-            *w ^= k;
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = ni::detect() {
+            return ni.decrypt_block(self, block);
         }
-        store_words(self.decrypt_words(t, s), block);
+        portable::decrypt_block(self, block)
     }
 
     /// CBC ciphertext length for a plaintext of `plain_len` bytes under
@@ -330,20 +334,11 @@ impl Aes128 {
     /// (which is not cleared), so callers can pool one buffer per
     /// association or prepend a header before the ciphertext.
     pub fn cbc_encrypt_into(&self, iv: &[u8; BLOCK_LEN], plaintext: &[u8], out: &mut Vec<u8>) {
-        let start = out.len();
-        pkcs7_pad(plaintext, out);
-        let t = tables();
-        let rk0 = self.rk[0];
-        // The chaining XOR and round key 0 are folded into one pass.
-        let mut prev = load_words(iv);
-        for chunk in out[start..].chunks_mut(BLOCK_LEN) {
-            let mut s = load_words(chunk);
-            for i in 0..4 {
-                s[i] ^= prev[i] ^ rk0[i];
-            }
-            prev = self.encrypt_words(t, s);
-            store_words(prev, chunk);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = ni::detect() {
+            return ni.cbc_encrypt_into(self, iv, plaintext, out);
         }
+        portable::cbc_encrypt_into(self, iv, plaintext, out)
     }
 
     /// CBC decryption undoing PKCS#7 padding. Returns `None` on malformed
@@ -360,66 +355,34 @@ impl Aes128 {
     /// Like [`Self::cbc_decrypt`], but *appends* the plaintext to `out`.
     /// Returns false (leaving `out` as it was) on malformed input.
     pub fn cbc_decrypt_into(&self, iv: &[u8; BLOCK_LEN], ciphertext: &[u8], out: &mut Vec<u8>) -> bool {
-        if ciphertext.is_empty() || !ciphertext.len().is_multiple_of(BLOCK_LEN) {
-            return false;
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = ni::detect() {
+            return ni.cbc_decrypt_into(self, iv, ciphertext, out);
         }
-        let start = out.len();
-        out.extend_from_slice(ciphertext);
-        let t = tables();
-        let dk0 = self.dk[0];
-        let mut prev = load_words(iv);
-        for chunk in out[start..].chunks_mut(BLOCK_LEN) {
-            let saved = load_words(chunk);
-            let mut s = saved;
-            for i in 0..4 {
-                s[i] ^= dk0[i];
-            }
-            let mut p = self.decrypt_words(t, s);
-            for i in 0..4 {
-                p[i] ^= prev[i];
-            }
-            store_words(p, chunk);
-            prev = saved;
-        }
-        pkcs7_unpad(out, start)
+        portable::cbc_decrypt_into(self, iv, ciphertext, out)
     }
 
     /// CTR-mode keystream XOR (encryption and decryption are identical).
     /// The 16-byte `nonce_counter` is the initial counter block; the final
-    /// 32 bits are incremented per block. Whole blocks run through the
-    /// word-level multi-block keystream path; only a trailing partial
-    /// block falls back to byte-wise XOR.
+    /// 32 bits are incremented per block, wrapping without a carry into
+    /// the nonce.
     pub fn ctr_apply(&self, nonce_counter: &[u8; BLOCK_LEN], data: &mut [u8]) {
-        let mut counter = *nonce_counter;
-        let t = tables();
-        let rk0 = self.rk[0];
-        let mut chunks = data.chunks_exact_mut(BLOCK_LEN);
-        for chunk in &mut chunks {
-            let mut s = load_words(&counter);
-            for i in 0..4 {
-                s[i] ^= rk0[i];
-            }
-            let ks = self.encrypt_words(t, s);
-            let mut d = load_words(chunk);
-            for i in 0..4 {
-                d[i] ^= ks[i];
-            }
-            store_words(d, chunk);
-            incr_counter(&mut counter);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = ni::detect() {
+            return ni.ctr_apply(self, nonce_counter, data);
         }
-        let tail = chunks.into_remainder();
-        if !tail.is_empty() {
-            let mut s = load_words(&counter);
-            for i in 0..4 {
-                s[i] ^= rk0[i];
-            }
-            let mut keystream = [0u8; BLOCK_LEN];
-            store_words(self.encrypt_words(t, s), &mut keystream);
-            for (d, k) in tail.iter_mut().zip(keystream.iter()) {
-                *d ^= k;
-            }
-        }
+        portable::ctr_apply(self, nonce_counter, data)
     }
+}
+
+/// The AES implementation [`Aes128`]'s methods run on this CPU:
+/// `"aes-ni"` or `"t-table"`.
+pub fn backend() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if ni::detect().is_some() {
+        return "aes-ni";
+    }
+    "t-table"
 }
 
 /// Appends `plaintext` and its PKCS#7 padding (always 1..=16 bytes).
@@ -454,17 +417,129 @@ fn incr_counter(counter: &mut [u8; BLOCK_LEN]) {
     }
 }
 
+pub mod portable {
+    //! The T-table path: runs on every CPU, and is what [`Aes128`]'s
+    //! methods use where AES-NI is missing. Each function has the
+    //! signature of the [`Aes128`] method it mirrors (with the key as
+    //! first argument), so `crypto_perf` and the proptests can run it on
+    //! a CPU that has AES-NI too.
+
+    use super::{
+        incr_counter, load_words, pkcs7_pad, pkcs7_unpad, store_words, tables, Aes128, BLOCK_LEN,
+    };
+
+    /// T-table [`Aes128::encrypt_block`].
+    pub fn encrypt_block(aes: &Aes128, block: &mut [u8; BLOCK_LEN]) {
+        let t = tables();
+        let mut s = load_words(block);
+        for (w, k) in s.iter_mut().zip(&aes.rk[0]) {
+            *w ^= k;
+        }
+        store_words(aes.encrypt_words(t, s), block);
+    }
+
+    /// T-table [`Aes128::decrypt_block`].
+    pub fn decrypt_block(aes: &Aes128, block: &mut [u8; BLOCK_LEN]) {
+        let t = tables();
+        let mut s = load_words(block);
+        for (w, k) in s.iter_mut().zip(&aes.dk[0]) {
+            *w ^= k;
+        }
+        store_words(aes.decrypt_words(t, s), block);
+    }
+
+    /// T-table [`Aes128::cbc_encrypt_into`].
+    pub fn cbc_encrypt_into(aes: &Aes128, iv: &[u8; BLOCK_LEN], plaintext: &[u8], out: &mut Vec<u8>) {
+        let start = out.len();
+        pkcs7_pad(plaintext, out);
+        let t = tables();
+        let rk0 = aes.rk[0];
+        // The chaining XOR and round key 0 are folded into one pass.
+        let mut prev = load_words(iv);
+        for chunk in out[start..].chunks_mut(BLOCK_LEN) {
+            let mut s = load_words(chunk);
+            for i in 0..4 {
+                s[i] ^= prev[i] ^ rk0[i];
+            }
+            prev = aes.encrypt_words(t, s);
+            store_words(prev, chunk);
+        }
+    }
+
+    /// T-table [`Aes128::cbc_decrypt_into`].
+    pub fn cbc_decrypt_into(aes: &Aes128, iv: &[u8; BLOCK_LEN], ciphertext: &[u8], out: &mut Vec<u8>) -> bool {
+        if ciphertext.is_empty() || !ciphertext.len().is_multiple_of(BLOCK_LEN) {
+            return false;
+        }
+        let start = out.len();
+        out.extend_from_slice(ciphertext);
+        let t = tables();
+        let dk0 = aes.dk[0];
+        let mut prev = load_words(iv);
+        for chunk in out[start..].chunks_mut(BLOCK_LEN) {
+            let saved = load_words(chunk);
+            let mut s = saved;
+            for i in 0..4 {
+                s[i] ^= dk0[i];
+            }
+            let mut p = aes.decrypt_words(t, s);
+            for i in 0..4 {
+                p[i] ^= prev[i];
+            }
+            store_words(p, chunk);
+            prev = saved;
+        }
+        pkcs7_unpad(out, start)
+    }
+
+    /// T-table [`Aes128::ctr_apply`]. Whole blocks run through the
+    /// word-level keystream path; only a trailing partial block falls
+    /// back to byte-wise XOR.
+    pub fn ctr_apply(aes: &Aes128, nonce_counter: &[u8; BLOCK_LEN], data: &mut [u8]) {
+        let mut counter = *nonce_counter;
+        let t = tables();
+        let rk0 = aes.rk[0];
+        let mut chunks = data.chunks_exact_mut(BLOCK_LEN);
+        for chunk in &mut chunks {
+            let mut s = load_words(&counter);
+            for i in 0..4 {
+                s[i] ^= rk0[i];
+            }
+            let ks = aes.encrypt_words(t, s);
+            let mut d = load_words(chunk);
+            for i in 0..4 {
+                d[i] ^= ks[i];
+            }
+            store_words(d, chunk);
+            incr_counter(&mut counter);
+        }
+        let tail = chunks.into_remainder();
+        if !tail.is_empty() {
+            let mut s = load_words(&counter);
+            for i in 0..4 {
+                s[i] ^= rk0[i];
+            }
+            let mut keystream = [0u8; BLOCK_LEN];
+            store_words(aes.encrypt_words(t, s), &mut keystream);
+            for (d, k) in tail.iter_mut().zip(keystream.iter()) {
+                *d ^= k;
+            }
+        }
+    }
+}
+
 pub mod reference {
     //! The original byte-oriented AES implementation: separate SubBytes/
     //! ShiftRows/MixColumns/AddRoundKey passes, exactly as in FIPS 197's
     //! pseudocode, and CBC/CTR as plain loops over single blocks. Slower
     //! but obviously correct; each function has the signature of the
     //! [`Aes128`] method it mirrors (with the key as first argument), and
-    //! proptests prove the T-table fast path equivalent to it on random
-    //! keys, IVs and lengths.
+    //! proptests prove the AES-NI and T-table paths equivalent to it on
+    //! random keys, IVs and lengths.
 
     use super::{
-        incr_counter, inv_sbox, gmul, pkcs7_pad, pkcs7_unpad, xtime, Aes128, BLOCK_LEN, SBOX,
+        incr_counter, inv_sbox, gmul, pkcs7_pad, pkcs7_unpad, store_words, xtime, Aes128, BLOCK_LEN,
+        SBOX,
     };
 
     /// Byte-wise [`Aes128::cbc_encrypt_into`].
@@ -517,34 +592,37 @@ pub mod reference {
 
     /// Encrypts one block with the byte-wise reference rounds.
     pub fn encrypt_block(aes: &Aes128, block: &mut [u8; BLOCK_LEN]) {
-        add_round_key(block, &aes.round_keys[0]);
+        add_round_key(block, aes, 0);
         for round in 1..10 {
             sub_bytes(block);
             shift_rows(block);
             mix_columns(block);
-            add_round_key(block, &aes.round_keys[round]);
+            add_round_key(block, aes, round);
         }
         sub_bytes(block);
         shift_rows(block);
-        add_round_key(block, &aes.round_keys[10]);
+        add_round_key(block, aes, 10);
     }
 
     /// Decrypts one block with the byte-wise reference rounds.
     pub fn decrypt_block(aes: &Aes128, block: &mut [u8; BLOCK_LEN]) {
-        add_round_key(block, &aes.round_keys[10]);
+        add_round_key(block, aes, 10);
         inv_shift_rows(block);
         inv_sub_bytes(block);
         for round in (1..10).rev() {
-            add_round_key(block, &aes.round_keys[round]);
+            add_round_key(block, aes, round);
             inv_mix_columns(block);
             inv_shift_rows(block);
             inv_sub_bytes(block);
         }
-        add_round_key(block, &aes.round_keys[0]);
+        add_round_key(block, aes, 0);
     }
 
-    fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-        for (s, k) in state.iter_mut().zip(rk) {
+    /// XORs encryption round key `round`, as FIPS 197 bytes, into `state`.
+    fn add_round_key(state: &mut [u8; 16], aes: &Aes128, round: usize) {
+        let mut rk = [0u8; 16];
+        store_words(aes.rk[round], &mut rk);
+        for (s, k) in state.iter_mut().zip(&rk) {
             *s ^= k;
         }
     }
@@ -848,5 +926,183 @@ mod tests {
         let mut slow = vec![0u8; 50];
         reference::ctr_apply(&aes, &nonce, &mut slow);
         assert_eq!(fast, slow);
+    }
+
+    #[test]
+    fn key_holds_two_schedules() {
+        // Encryption and decryption round keys, 11 × 16 bytes each: the
+        // AES-NI and reference paths derive their byte order at load
+        // time instead of storing a third schedule.
+        assert_eq!(std::mem::size_of::<Aes128>(), 2 * 11 * BLOCK_LEN);
+    }
+
+    /// Pins each backend, not only the one the CPU selects, to the
+    /// byte-wise reference: a CPU with AES-NI would otherwise never run
+    /// the T-table path under test.
+    mod backends {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        /// One implementation's five entry points as free functions.
+        struct Backend {
+            encrypt_block: fn(&Aes128, &mut [u8; BLOCK_LEN]),
+            decrypt_block: fn(&Aes128, &mut [u8; BLOCK_LEN]),
+            cbc_encrypt_into: fn(&Aes128, &[u8; BLOCK_LEN], &[u8], &mut Vec<u8>),
+            cbc_decrypt_into: fn(&Aes128, &[u8; BLOCK_LEN], &[u8], &mut Vec<u8>) -> bool,
+            ctr_apply: fn(&Aes128, &[u8; BLOCK_LEN], &mut [u8]),
+        }
+
+        const T_TABLE: Backend = Backend {
+            encrypt_block: portable::encrypt_block,
+            decrypt_block: portable::decrypt_block,
+            cbc_encrypt_into: portable::cbc_encrypt_into,
+            cbc_decrypt_into: portable::cbc_decrypt_into,
+            ctr_apply: portable::ctr_apply,
+        };
+
+        /// The AES-NI kernels, or `None` (with a note) on a CPU without
+        /// AES-NI, where the hardware cases pass vacuously.
+        fn aes_ni() -> Option<Backend> {
+            #[cfg(target_arch = "x86_64")]
+            if ni::detect().is_some() {
+                fn ni() -> ni::Ni {
+                    ni::detect().expect("detected above")
+                }
+                return Some(Backend {
+                    encrypt_block: |aes, block| ni().encrypt_block(aes, block),
+                    decrypt_block: |aes, block| ni().decrypt_block(aes, block),
+                    cbc_encrypt_into: |aes, iv, pt, out| ni().cbc_encrypt_into(aes, iv, pt, out),
+                    cbc_decrypt_into: |aes, iv, ct, out| ni().cbc_decrypt_into(aes, iv, ct, out),
+                    ctr_apply: |aes, counter, data| ni().ctr_apply(aes, counter, data),
+                });
+            }
+            eprintln!("note: this CPU has no AES-NI; the hardware case is skipped");
+            None
+        }
+
+        struct Case {
+            key: [u8; 16],
+            iv: [u8; 16],
+            block: [u8; 16],
+            msg: Vec<u8>,
+            garbage: Vec<u8>,
+            prefix: Vec<u8>,
+            below_wrap: u32,
+        }
+
+        fn case() -> impl Strategy<Value = Case> {
+            (
+                (any::<[u8; 16]>(), any::<[u8; 16]>(), any::<[u8; 16]>()),
+                proptest::collection::vec(any::<u8>(), 0..2048),
+                proptest::collection::vec(any::<u8>(), 0..2048),
+                proptest::collection::vec(any::<u8>(), 1..40),
+                0u32..200,
+            )
+                .prop_map(|((key, iv, block), msg, garbage, prefix, below_wrap)| Case {
+                    key,
+                    iv,
+                    block,
+                    msg,
+                    garbage,
+                    prefix,
+                    below_wrap,
+                })
+        }
+
+        /// Runs all five entry points of `b` and of the reference on one
+        /// case and demands identical bytes and verdicts.
+        fn check(b: &Backend, c: &Case) {
+            let aes = Aes128::new(&c.key);
+
+            let mut fast = c.block;
+            (b.encrypt_block)(&aes, &mut fast);
+            let mut slow = c.block;
+            reference::encrypt_block(&aes, &mut slow);
+            assert_eq!(fast, slow, "encrypt_block");
+            (b.decrypt_block)(&aes, &mut fast);
+            reference::decrypt_block(&aes, &mut slow);
+            assert_eq!(fast, slow, "decrypt_block");
+            assert_eq!(fast, c.block, "decrypt_block inverts encrypt_block");
+
+            let mut fast = c.prefix.clone();
+            (b.cbc_encrypt_into)(&aes, &c.iv, &c.msg, &mut fast);
+            let mut slow = c.prefix.clone();
+            reference::cbc_encrypt_into(&aes, &c.iv, &c.msg, &mut slow);
+            assert_eq!(fast, slow, "cbc_encrypt_into keeps the prefix and matches");
+
+            // A valid ciphertext, then malformed ones: any length, a whole
+            // number of blocks with (almost surely) bad padding, empty.
+            let ct = fast[c.prefix.len()..].to_vec();
+            let blocks = &c.garbage[..c.garbage.len() / BLOCK_LEN * BLOCK_LEN];
+            for input in [&ct[..], &c.garbage[..], blocks, &[]] {
+                let mut fast = c.prefix.clone();
+                let fast_ok = (b.cbc_decrypt_into)(&aes, &c.iv, input, &mut fast);
+                let mut slow = c.prefix.clone();
+                let slow_ok = reference::cbc_decrypt_into(&aes, &c.iv, input, &mut slow);
+                assert_eq!(fast_ok, slow_ok, "cbc_decrypt_into verdict, {} bytes", input.len());
+                assert_eq!(fast, slow, "cbc_decrypt_into output, {} bytes", input.len());
+            }
+
+            let mut counter = c.iv;
+            counter[12..].copy_from_slice(&(0xffff_ffff - c.below_wrap).to_be_bytes());
+            let mut fast = c.msg.clone();
+            (b.ctr_apply)(&aes, &counter, &mut fast);
+            let mut slow = c.msg.clone();
+            reference::ctr_apply(&aes, &counter, &mut slow);
+            assert_eq!(fast, slow, "ctr_apply across the counter wrap");
+        }
+
+        proptest! {
+            #[test]
+            fn t_table_matches_reference(c in case()) {
+                check(&T_TABLE, &c);
+            }
+
+            #[test]
+            fn aes_ni_matches_reference(c in case()) {
+                let Some(ni) = aes_ni() else { return Ok(()) };
+                check(&ni, &c);
+            }
+        }
+
+        #[test]
+        fn every_backend_meets_the_fips_and_sp800_38a_vectors() {
+            let iv: [u8; 16] = super::unhex("000102030405060708090a0b0c0d0e0f").try_into().expect("iv");
+            let counter: [u8; 16] =
+                super::unhex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff").try_into().expect("ctr");
+            let aes = Aes128::new(&super::NIST_KEY);
+            for (name, b) in [("t-table", Some(T_TABLE)), ("aes-ni", aes_ni())] {
+                let Some(b) = b else { continue };
+                let mut block: [u8; 16] = super::unhex("3243f6a8885a308d313198a2e0370734")
+                    .try_into()
+                    .expect("block");
+                (b.encrypt_block)(&aes, &mut block);
+                assert_eq!(super::hex(&block), "3925841d02dc09fbdc118597196a0b32", "{name}");
+                let mut ct = Vec::new();
+                (b.cbc_encrypt_into)(&aes, &iv, &super::nist_plaintext(), &mut ct);
+                assert_eq!(
+                    super::hex(&ct[..64]),
+                    concat!(
+                        "7649abac8119b246cee98e9b12e9197d",
+                        "5086cb9b507219ee95db113a917678b2",
+                        "73bed6b8e3c1743b7116e69e22229516",
+                        "3ff1caa1681fac09120eca307586e1a7",
+                    ),
+                    "{name}"
+                );
+                let mut data = super::nist_plaintext();
+                (b.ctr_apply)(&aes, &counter, &mut data);
+                assert_eq!(
+                    super::hex(&data),
+                    concat!(
+                        "874d6191b620e3261bef6864990db6ce",
+                        "9806f66b7970fdff8617187bb9fffdff",
+                        "5ae4df3edbd5d35e5b4f09020db03eab",
+                        "1e031dda2fbe03d1792170a0f3009cee",
+                    ),
+                    "{name}"
+                );
+            }
+        }
     }
 }

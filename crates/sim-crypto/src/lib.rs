@@ -16,11 +16,18 @@
 //! - [`aes`] — AES-128 with CBC and CTR modes (ESP + TLS record payloads)
 //! - [`kdf`] — HIP KEYMAT (RFC 5201 §6.5) and a TLS-style PRF
 //!
+//! On x86-64, AES and SHA-256 run on AES-NI and SHA-NI kernels when the
+//! CPU reports those features at runtime, and on portable code
+//! otherwise; both give the same bytes. `unsafe` appears only in those
+//! two kernel modules, and every block carries a `// SAFETY:` note.
+//!
 //! **Security disclaimer:** this crate exists to reproduce a systems
 //! paper inside a simulator. It is *not* constant-time, side-channel
-//! hardened, or audited. Do not use it to protect real data.
+//! hardened, or audited — the portable T-table AES and the bigint
+//! arithmetic leak timing. Do not use it to protect real data.
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod aes;
 pub mod bigint;

@@ -102,22 +102,23 @@ impl RecordCipher {
         RecordCipher { cipher: Aes128::new(&enc_key), mac_key: HmacKey::new(&mac_key), seq: 0 }
     }
 
-    /// Protects an application payload.
+    /// Protects an application payload. The IV, ciphertext and MAC are
+    /// written straight into one exact-size body.
     pub fn seal(&mut self, plaintext: &[u8], iv_seed: u64) -> Vec<u8> {
         self.seq += 1;
         let mut iv = [0u8; 16];
         iv[..8].copy_from_slice(&iv_seed.to_be_bytes());
         iv[8..16].copy_from_slice(&self.seq.to_be_bytes());
-        let ct = self.cipher.cbc_encrypt(&iv, plaintext);
-        let mut body = Vec::with_capacity(16 + ct.len() + MAC_LEN);
+        let mut body = Vec::with_capacity(16 + Aes128::cbc_padded_len(plaintext.len()) + MAC_LEN);
         body.extend_from_slice(&iv);
-        body.extend_from_slice(&ct);
+        self.cipher.cbc_encrypt_into(&iv, plaintext, &mut body);
         let mac = self.mac(self.seq, &body);
         body.extend_from_slice(&mac);
         body
     }
 
-    /// Verifies and decrypts a protected body.
+    /// Verifies and decrypts a protected body into one exact-capacity
+    /// buffer.
     pub fn open(&mut self, body: &[u8]) -> Option<Vec<u8>> {
         if body.len() < 16 + 16 + MAC_LEN {
             return None;
@@ -129,8 +130,9 @@ impl RecordCipher {
             self.seq -= 1; // do not consume a number for garbage
             return None;
         }
-        let iv: [u8; 16] = payload[..16].try_into().ok()?;
-        self.cipher.cbc_decrypt(&iv, &payload[16..])
+        let (iv, ciphertext) = payload.split_first_chunk::<16>()?;
+        let mut plaintext = Vec::with_capacity(ciphertext.len());
+        self.cipher.cbc_decrypt_into(iv, ciphertext, &mut plaintext).then_some(plaintext)
     }
 
     fn mac(&self, seq: u64, data: &[u8]) -> [u8; MAC_LEN] {
@@ -165,6 +167,29 @@ mod tests {
         for msg in [&b"short"[..], &[0u8; 5000][..]] {
             let sealed = tx.seal(msg, 7);
             assert_eq!(rx.open(&sealed).as_deref(), Some(msg));
+        }
+    }
+
+    #[test]
+    fn sealed_bytes_are_iv_ciphertext_mac() {
+        // The in-place seal must emit exactly `iv ‖ cbc_encrypt ‖ mac`.
+        let (enc, mac) = ([1; 16], [2; 32]);
+        let mut tx = RecordCipher::new(enc, mac);
+        let aes = Aes128::new(&enc);
+        let key = HmacKey::new(&mac);
+        for (seq, len) in [0usize, 1, 15, 16, 17, 1400, 16 * 1024].into_iter().enumerate() {
+            let msg: Vec<u8> = (0..len).map(|i| (i * 7 % 251) as u8).collect();
+            let sealed = tx.seal(&msg, 42);
+            let seq = seq as u64 + 1;
+            let mut iv = [0u8; 16];
+            iv[..8].copy_from_slice(&42u64.to_be_bytes());
+            iv[8..].copy_from_slice(&seq.to_be_bytes());
+            let mut expect = iv.to_vec();
+            expect.extend_from_slice(&aes.cbc_encrypt(&iv, &msg));
+            let tag = key.mac_multi(&[&seq.to_be_bytes(), &expect]);
+            expect.extend_from_slice(&tag[..MAC_LEN]);
+            assert_eq!(sealed, expect, "len {len}");
+            assert_eq!(sealed.capacity(), sealed.len(), "len {len}: exact-size body");
         }
     }
 

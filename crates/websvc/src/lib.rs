@@ -17,6 +17,7 @@
 //! - [`dns_server`] — a DNS server app serving HIP resource records
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod db;
 pub mod dns_server;
