@@ -19,7 +19,7 @@
 //! Writes a run manifest to `results/ablation_dos-flood.json`;
 //! `--trace-out` exports the flood run's typed trace as JSONL.
 
-use bench::report::{manifest, table, trace_out, write_manifest};
+use bench::report::{manifest, table, write_manifest, write_trace, Args, Flag};
 use hip_core::identity::{Hit, HostIdentity};
 use hip_core::wire::{HipPacket, PacketType, Param};
 use hip_core::{puzzle, HipConfig, HipShim, PeerInfo};
@@ -100,6 +100,7 @@ impl App for Listener {
 }
 
 fn main() {
+    let trace_path = Args::parse(&[Flag::TraceOut]).trace_out;
     // ---- Part 1: puzzle asymmetry (real wall-clock). ----
     println!("puzzle asymmetry (attacker solve vs responder verify, real wall-clock):");
     let hi = Hit([0xaa; 16]);
@@ -148,7 +149,6 @@ fn main() {
     shim_c.add_peer(hit_r, PeerInfo { locators: vec![addr_r], via_rvs: None });
 
     let mut sim = Sim::new(2);
-    let trace_path = trace_out();
     if trace_path.is_some() {
         sim.trace = netsim::trace::Trace::enabled(500_000);
     }
@@ -211,19 +211,8 @@ fn main() {
     m.num("forged_i2s", flooded)
         .num("rejected", stats.drops_auth)
         .num("bex_completed", stats.bex_completed);
-    match write_manifest(m, wall, dispatched, &metrics) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("manifest write failed: {e}"),
-    }
+    write_manifest(m, wall, dispatched, &metrics);
     if let Some(path) = trace_path {
-        match sim.trace.write_jsonl(&path) {
-            Ok(()) => eprintln!(
-                "wrote {} trace records to {} ({} dropped at cap)",
-                sim.trace.entries().len(),
-                path.display(),
-                sim.trace.truncated()
-            ),
-            Err(e) => eprintln!("trace write failed: {e}"),
-        }
+        write_trace(&sim.trace, &path);
     }
 }

@@ -10,7 +10,7 @@
 //! Usage: `cargo run -p bench --release --bin fig2_throughput [--quick] [--trace-out <path>]`
 
 use bench::fig2::{run_cell, run_sweep_cells, CLIENT_COUNTS};
-use bench::report::{bar, manifest, stage_table, table, trace_out, write_csv, write_manifest};
+use bench::report::{bar, manifest, stage_table, table, write_csv, write_manifest, write_trace, Args, Flag};
 use netsim::SimDuration;
 use websvc::Scenario;
 
@@ -29,8 +29,8 @@ const STAGES: [&str; 8] = [
 
 fn main() {
     let seed = 42u64;
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (warmup, measure) = if quick {
+    let args = Args::parse(&[Flag::Quick, Flag::TraceOut]);
+    let (warmup, measure) = if args.quick {
         (SimDuration::from_secs(6), SimDuration::from_secs(6))
     } else {
         (SimDuration::from_secs(10), SimDuration::from_secs(20))
@@ -81,10 +81,7 @@ fn main() {
         m.num("warmup_secs", warmup.as_secs_f64())
             .num("measure_secs", measure.as_secs_f64())
             .num("client_counts", CLIENT_COUNTS.len());
-        match write_manifest(m, wall, events, &merged) {
-            Ok(path) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("manifest write failed: {e}"),
-        }
+        write_manifest(m, wall, events, &merged);
     }
 
     // Terminal rendition of the figure.
@@ -101,7 +98,7 @@ fn main() {
     println!("SSL saturate in the ~150-160 range from ~20 clients on, HIP slightly");
     println!("below SSL (LSI translations). Compare shapes, not absolute values.");
 
-    if let Some(path) = trace_out() {
+    if let Some(path) = args.trace_out {
         // A traced representative run (HIP, 4 clients, short window):
         // the full sweep is too chatty to trace end to end.
         eprintln!("tracing a representative HIP cell for {}...", path.display());
@@ -113,14 +110,6 @@ fn main() {
             SimDuration::from_secs(2),
             200_000,
         );
-        match cell.trace.write_jsonl(&path) {
-            Ok(()) => eprintln!(
-                "wrote {} trace records to {} ({} dropped at cap)",
-                cell.trace.entries().len(),
-                path.display(),
-                cell.trace.truncated()
-            ),
-            Err(e) => eprintln!("trace write failed: {e}"),
-        }
+        write_trace(&cell.trace, &path);
     }
 }

@@ -6,13 +6,13 @@
 //! Usage: `cargo run -p bench --release --bin fig3_iperf_rtt [--quick] [--trace-out <path>]`
 
 use bench::fig3::{rtt_obs, run_all_cells, Fig3Mode};
-use bench::report::{bar, manifest, table, trace_out, write_csv, write_manifest};
+use bench::report::{bar, manifest, table, write_csv, write_manifest, write_trace, Args, Flag};
 use netsim::SimDuration;
 
 fn main() {
     let seed = 42u64;
-    let quick = std::env::args().any(|a| a == "--quick");
-    let duration = if quick { SimDuration::from_secs(3) } else { SimDuration::from_secs(10) };
+    let args = Args::parse(&[Flag::Quick, Flag::TraceOut]);
+    let duration = if args.quick { SimDuration::from_secs(3) } else { SimDuration::from_secs(10) };
     eprintln!(
         "fig3: iperf ({}s transfer) + 20-ping RTT across 6 modes (parallel)...",
         duration.as_secs_f64()
@@ -42,10 +42,7 @@ fn main() {
             .num("ping_count", 20)
             .num("iperf_mbits", format!("{:.2}", c.point.mbits))
             .num("rtt_ms", format!("{:.3}", c.point.rtt_ms));
-        match write_manifest(m, c.wall_secs, c.dispatched, &c.metrics) {
-            Ok(path) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("manifest write failed: {e}"),
-        }
+        write_manifest(m, c.wall_secs, c.dispatched, &c.metrics);
     }
 
     let max_bw = points.iter().map(|p| p.mbits).fold(0.0, f64::max);
@@ -62,19 +59,10 @@ fn main() {
     println!("\"LSI translation is slower than with HITs due to some extra processing");
     println!("overhead, while Teredo has the worst latency\" — the Teredo modes pay the");
     println!("external relay detour in both bandwidth and RTT.");
-    let _ = Fig3Mode::ALL;
 
-    if let Some(path) = trace_out() {
+    if let Some(path) = args.trace_out {
         eprintln!("tracing an LSI(IPv4) RTT run for {}...", path.display());
         let (_, _, _, trace) = rtt_obs(Fig3Mode::LsiIpv4, seed ^ 1, 20, 200_000);
-        match trace.write_jsonl(&path) {
-            Ok(()) => eprintln!(
-                "wrote {} trace records to {} ({} dropped at cap)",
-                trace.entries().len(),
-                path.display(),
-                trace.truncated()
-            ),
-            Err(e) => eprintln!("trace write failed: {e}"),
-        }
+        write_trace(&trace, &path);
     }
 }

@@ -8,13 +8,12 @@
 //!
 //! Usage: `cargo run -p bench --release --bin fig_resilience [--quick]`
 
-use bench::report::{bar, manifest, table, write_csv, write_manifest};
+use bench::report::{bar, manifest, table, write_csv, write_manifest, Args, Flag};
 use bench::resilience::{run_sweep, timeline_json, Storyline, CLIENTS};
 
 fn main() {
     let seed = 42u64;
-    let quick = std::env::args().any(|a| a == "--quick");
-    let story = if quick { Storyline::quick() } else { Storyline::standard() };
+    let story = if Args::parse(&[Flag::Quick]).quick { Storyline::quick() } else { Storyline::standard() };
     eprintln!(
         "fig_resilience: 3 scenarios x {} clients, {}s storyline (crash@{}s, burst@{}s, partition@{}s; parallel)...",
         CLIENTS,
@@ -118,10 +117,7 @@ fn main() {
             .num("proxy_unavailable", p.proxy.unavailable)
             .num("hip_rebex", p.rebex)
             .raw("timeline", timeline_json(&c.timeline));
-        match write_manifest(m, c.wall_secs, c.dispatched, &c.metrics) {
-            Ok(path) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("manifest write failed: {e}"),
-        }
+        write_manifest(m, c.wall_secs, c.dispatched, &c.metrics);
     }
 
     // Determinism invariant (asserted in CI): the same seed + storyline

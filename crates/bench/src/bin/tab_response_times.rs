@@ -8,7 +8,7 @@
 //!
 //! Usage: `cargo run -p bench --release --bin tab_response_times [--quick] [--trace-out <path>]`
 
-use bench::report::{manifest, stage_table, table, trace_out, write_csv, write_manifest};
+use bench::report::{manifest, stage_table, table, write_csv, write_manifest, write_trace, Args, Flag};
 use bench::tab_rt::{run_all_cells, run_cell, PAPER_RATE};
 use netsim::SimDuration;
 use websvc::Scenario;
@@ -25,8 +25,8 @@ const STAGES: [&str; 7] = [
 
 fn main() {
     let seed = 42u64;
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (warmup, measure) = if quick {
+    let args = Args::parse(&[Flag::Quick, Flag::TraceOut]);
+    let (warmup, measure) = if args.quick {
         (SimDuration::from_secs(5), SimDuration::from_secs(20))
     } else {
         (SimDuration::from_secs(10), SimDuration::from_secs(60))
@@ -83,10 +83,7 @@ fn main() {
             .num("warmup_secs", warmup.as_secs_f64())
             .num("measure_secs", measure.as_secs_f64())
             .num("completed", c.row.completed);
-        match write_manifest(m, c.wall_secs, c.dispatched, &c.metrics) {
-            Ok(path) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("manifest write failed: {e}"),
-        }
+        write_manifest(m, c.wall_secs, c.dispatched, &c.metrics);
     }
     println!("paper: \"the response times and standard deviations were largely");
     println!("comparable... the performance degradation of HIP in comparison with");
@@ -94,7 +91,7 @@ fn main() {
     println!("The reproduction preserves the ordering Basic < SSL < HIP; absolute");
     println!("values differ (our base path is leaner than the paper's full LAMP stack).");
 
-    if let Some(path) = trace_out() {
+    if let Some(path) = args.trace_out {
         eprintln!("tracing a representative HIP run for {}...", path.display());
         let cell = run_cell(
             Scenario::HipLsi,
@@ -104,14 +101,6 @@ fn main() {
             SimDuration::from_secs(2),
             200_000,
         );
-        match cell.trace.write_jsonl(&path) {
-            Ok(()) => eprintln!(
-                "wrote {} trace records to {} ({} dropped at cap)",
-                cell.trace.entries().len(),
-                path.display(),
-                cell.trace.truncated()
-            ),
-            Err(e) => eprintln!("trace write failed: {e}"),
-        }
+        write_trace(&cell.trace, &path);
     }
 }

@@ -86,27 +86,12 @@ pub fn run_cell(
     }
 }
 
-/// Runs one (scenario, clients) cell.
-pub fn run_point(
-    scenario: Scenario,
-    clients: usize,
-    seed: u64,
-    warmup: SimDuration,
-    measure: SimDuration,
-) -> Fig2Point {
-    run_cell(scenario, clients, seed, warmup, measure, 0).point
-}
-
 /// Runs the full sweep, parallelized across cells (each cell is an
 /// independent deterministic simulation — this is where the workspace
 /// uses threads, never inside a run). Output is ordered by
-/// (scenario, clients), matching the cell grid.
-pub fn run_sweep(seed: u64, warmup: SimDuration, measure: SimDuration) -> Vec<Fig2Point> {
-    run_sweep_cells(seed, warmup, measure).into_iter().map(|c| c.point).collect()
-}
-
-/// Like [`run_sweep`] but keeps each cell's metrics registry and event
-/// count, so the driver can merge per-scenario stage histograms.
+/// (scenario, clients), matching the cell grid; each cell keeps its
+/// metrics registry and event count, so `fig2_throughput` can merge
+/// per-scenario stage histograms.
 pub fn run_sweep_cells(seed: u64, warmup: SimDuration, measure: SimDuration) -> Vec<Fig2Cell> {
     let scenarios = [Scenario::Basic, Scenario::HipLsi, Scenario::Ssl];
     let cells: Vec<(Scenario, usize)> = scenarios
@@ -122,13 +107,8 @@ mod tests {
 
     #[test]
     fn single_point_has_sane_output() {
-        let p = run_point(
-            Scenario::Basic,
-            4,
-            1,
-            SimDuration::from_secs(1),
-            SimDuration::from_secs(3),
-        );
+        let p = run_cell(Scenario::Basic, 4, 1, SimDuration::from_secs(1), SimDuration::from_secs(3), 0)
+            .point;
         assert!(p.throughput > 10.0, "throughput {}", p.throughput);
         assert!(p.mean_latency_ms > 1.0);
     }
@@ -147,7 +127,7 @@ mod tests {
         [2usize, 6]
             .iter()
             .map(|&c| {
-                let p = run_point(Scenario::Basic, c, seed, SimDuration::from_millis(500), measure);
+                let p = run_cell(Scenario::Basic, c, seed, SimDuration::from_millis(500), measure, 0).point;
                 (c, (p.throughput * 1000.0) as u64)
             })
             .collect()

@@ -1,12 +1,76 @@
 //! Small text-table helpers for the experiment binaries, plus the one
-//! shared run-manifest / trace-export path every binary goes through:
+//! shared command-line / run-manifest / trace-export path every binary
+//! goes through: [`Args::parse`] reads the flags a binary declares,
 //! [`manifest`] seeds an [`obs::RunManifest`] with provenance (seed,
 //! git revision), [`write_manifest`] finishes it with wall-clock, event
-//! count and the full metrics dump, and [`trace_out`] parses the
-//! `--trace-out <path>` flag for structured JSONL trace export.
+//! count and the full metrics dump, and [`write_trace`] exports a typed
+//! trace as JSONL.
 
+use netsim::trace::Trace;
 use obs::{Histogram, MetricsRegistry, RunManifest};
 use std::path::{Path, PathBuf};
+
+/// A command-line flag an experiment binary may declare.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Flag {
+    /// `--quick`: the short pass CI runs.
+    Quick,
+    /// `--trace-out <path>` or `--trace-out=<path>`: export a traced
+    /// representative run as JSONL.
+    TraceOut,
+}
+
+/// The parsed command line of an experiment binary.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Args {
+    /// `--quick` was given.
+    pub quick: bool,
+    /// The `--trace-out` path, if given.
+    pub trace_out: Option<PathBuf>,
+}
+
+impl Args {
+    /// Parses the process arguments, accepting only the flags in
+    /// `takes`. Anything else prints the error and usage to stderr and
+    /// exits with status 2.
+    pub fn parse(takes: &[Flag]) -> Args {
+        Args::parse_from(takes, std::env::args().skip(1)).unwrap_or_else(|e| {
+            let arg0 = std::env::args().next().unwrap_or_default();
+            let bin = Path::new(&arg0).file_name().and_then(|b| b.to_str()).unwrap_or("bench");
+            let flags: Vec<&str> = takes
+                .iter()
+                .map(|f| match f {
+                    Flag::Quick => "[--quick]",
+                    Flag::TraceOut => "[--trace-out <path>]",
+                })
+                .collect();
+            eprintln!("{bin}: {e}\nusage: {bin} {}", flags.join(" "));
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses `args` (without the program name), accepting only the
+    /// flags in `takes`.
+    fn parse_from(takes: &[Flag], args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+        let mut out = Args::default();
+        let mut args = args.into_iter();
+        while let Some(a) = args.next() {
+            if a == "--quick" && takes.contains(&Flag::Quick) {
+                out.quick = true;
+            } else if a == "--trace-out" && takes.contains(&Flag::TraceOut) {
+                let path = args.next().filter(|p| !p.is_empty()).ok_or("--trace-out needs a path")?;
+                out.trace_out = Some(PathBuf::from(path));
+            } else if let Some(path) =
+                a.strip_prefix("--trace-out=").filter(|p| !p.is_empty() && takes.contains(&Flag::TraceOut))
+            {
+                out.trace_out = Some(PathBuf::from(path));
+            } else {
+                return Err(format!("unexpected argument `{a}`"));
+            }
+        }
+        Ok(out)
+    }
+}
 
 /// Renders an ASCII table: header row + data rows, columns padded.
 pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -95,34 +159,30 @@ pub fn manifest(bin: &str, scenario: &str, seed: u64) -> RunManifest {
 }
 
 /// Finishes a manifest with the run outcome — wall-clock seconds,
-/// dispatched event count, and the full metrics dump — and writes it
-/// under `results/`. Returns the path written.
-pub fn write_manifest(
-    mut m: RunManifest,
-    wall_secs: f64,
-    events: u64,
-    metrics: &MetricsRegistry,
-) -> std::io::Result<PathBuf> {
+/// dispatched event count, and the full metrics dump — writes it under
+/// `results/`, and reports the path written (or the error) on stderr.
+pub fn write_manifest(mut m: RunManifest, wall_secs: f64, events: u64, metrics: &MetricsRegistry) {
     m.num("wall_secs", format!("{wall_secs:.3}"))
         .num("events", events)
         .raw("metrics", metrics.to_json());
-    m.write_to(Path::new("results"))
+    match m.write_to(Path::new("results")) {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("manifest write failed: {e}"),
+    }
 }
 
-/// Parses `--trace-out <path>` (or `--trace-out=<path>`) from the
-/// process arguments; when present the binary runs a traced
-/// representative simulation and exports it as JSONL.
-pub fn trace_out() -> Option<PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--trace-out" {
-            return args.next().map(PathBuf::from);
-        }
-        if let Some(p) = a.strip_prefix("--trace-out=") {
-            return Some(PathBuf::from(p));
-        }
+/// Writes `trace` to `path` as JSONL and reports the record count (or
+/// the error) on stderr.
+pub fn write_trace(trace: &Trace, path: &Path) {
+    match trace.write_jsonl(path) {
+        Ok(()) => eprintln!(
+            "wrote {} trace records to {} ({} dropped at cap)",
+            trace.entries().len(),
+            path.display(),
+            trace.truncated()
+        ),
+        Err(e) => eprintln!("trace write failed: {e}"),
     }
-    None
 }
 
 /// One table/CSV row summarizing a nanosecond-valued latency histogram
@@ -163,6 +223,32 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(takes: &[Flag], args: &[&str]) -> Result<Args, String> {
+        Args::parse_from(takes, args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn args_accept_declared_flags() {
+        let both = [Flag::Quick, Flag::TraceOut];
+        assert_eq!(parse(&both, &[]), Ok(Args::default()));
+        let traced = |quick, path: &str| Ok(Args { quick, trace_out: Some(PathBuf::from(path)) });
+        assert_eq!(parse(&both, &["--quick", "--trace-out", "t.jsonl"]), traced(true, "t.jsonl"));
+        assert_eq!(parse(&both, &["--trace-out=t.jsonl"]), traced(false, "t.jsonl"));
+        assert_eq!(parse(&[Flag::Quick], &["--quick"]), Ok(Args { quick: true, trace_out: None }));
+    }
+
+    #[test]
+    fn args_reject_everything_else() {
+        let both = [Flag::Quick, Flag::TraceOut];
+        for bad in [&["quick"][..], &["--quik"], &["--trace-out"], &["--trace-out="], &["--quick", "extra"]] {
+            assert!(parse(&both, bad).is_err(), "{bad:?} accepted");
+        }
+        // A flag the binary does not declare is as unknown as a typo.
+        assert!(parse(&[Flag::Quick], &["--trace-out", "t.jsonl"]).is_err());
+        assert!(parse(&[Flag::Quick], &["--trace-out=t.jsonl"]).is_err());
+        assert!(parse(&[Flag::TraceOut], &["--quick"]).is_err());
+    }
 
     #[test]
     fn table_alignment() {

@@ -90,18 +90,9 @@ pub fn run_cell(
     }
 }
 
-/// Runs the open-loop response-time measurement for one scenario.
-pub fn run(scenario: Scenario, rate: f64, seed: u64, warmup: SimDuration, measure: SimDuration) -> TabRtRow {
-    run_cell(scenario, rate, seed, warmup, measure, 0).row
-}
-
-/// Runs all three scenarios (in parallel; independent simulations).
-/// Output is in scenario order: Basic, HipLsi, Ssl.
-pub fn run_all(rate: f64, seed: u64, warmup: SimDuration, measure: SimDuration) -> Vec<TabRtRow> {
-    run_all_cells(rate, seed, warmup, measure).into_iter().map(|c| c.row).collect()
-}
-
-/// Like [`run_all`] but keeps each scenario's metrics and event count.
+/// Runs all three scenarios (in parallel; independent simulations),
+/// keeping each scenario's metrics and event count. Output is in
+/// scenario order: Basic, HipLsi, Ssl.
 pub fn run_all_cells(rate: f64, seed: u64, warmup: SimDuration, measure: SimDuration) -> Vec<TabRtCell> {
     let scenarios = [Scenario::Basic, Scenario::HipLsi, Scenario::Ssl];
     crate::sweep::par_sweep(&scenarios, |&s| run_cell(s, rate, seed, warmup, measure, 0))
@@ -114,13 +105,8 @@ mod tests {
     #[test]
     fn ordering_matches_paper() {
         // Short windows for test speed; the bin uses longer ones.
-        let rows = run_all(
-            PAPER_RATE,
-            5,
-            SimDuration::from_secs(5),
-            SimDuration::from_secs(15),
-        );
-        let mean = |s: Scenario| rows.iter().find(|r| r.scenario == s).expect("present").mean_ms;
+        let cells = run_all_cells(PAPER_RATE, 5, SimDuration::from_secs(5), SimDuration::from_secs(15));
+        let mean = |s: Scenario| cells.iter().find(|c| c.row.scenario == s).expect("present").row.mean_ms;
         let basic = mean(Scenario::Basic);
         let hip = mean(Scenario::HipLsi);
         let ssl = mean(Scenario::Ssl);

@@ -142,22 +142,16 @@ pub enum Event {
         /// The packet.
         pkt: Packet,
     },
-    /// A timer fires at `node`.
+    /// A timer fires at `node`. A cancellable timer carries its
+    /// `token` and is skipped without dispatch if that was cancelled in
+    /// the meantime; a fire-and-forget timer carries `None`.
     Timer {
         /// The node whose timer expired.
         node: NodeId,
         /// The registration being fired.
         timer: TimerHandle,
-    },
-    /// A cancellable timer fires at `node` — skipped without dispatch
-    /// if `token` was cancelled in the meantime.
-    CancellableTimer {
-        /// The node whose timer expired.
-        node: NodeId,
-        /// The registration being fired.
-        timer: TimerHandle,
         /// The generation stamp checked at pop time.
-        token: TimerToken,
+        token: Option<TimerToken>,
     },
     /// A deferred link transmission (packet leaves `from` once its CPU
     /// processing completes; link queueing is resolved at this moment).
@@ -401,7 +395,7 @@ impl Ctx<'_> {
 
     /// Arms a fire-and-forget timer on the current node after `delay`.
     pub fn set_timer(&mut self, delay: SimDuration, timer: TimerHandle) {
-        self.emitted.push((self.now + delay, Event::Timer { node: self.node, timer }));
+        self.emitted.push((self.now + delay, Event::Timer { node: self.node, timer, token: None }));
     }
 
     /// Arms a cancellable timer on the current node after `delay`. The
@@ -411,7 +405,7 @@ impl Ctx<'_> {
     pub fn set_timer_cancellable(&mut self, delay: SimDuration, timer: TimerHandle) -> TimerToken {
         let token = self.slots.alloc();
         self.emitted
-            .push((self.now + delay, Event::CancellableTimer { node: self.node, timer, token }));
+            .push((self.now + delay, Event::Timer { node: self.node, timer, token: Some(token) }));
         token
     }
 
@@ -666,7 +660,7 @@ impl Sim {
                 continue;
             }
             self.now = at;
-            processed += self.dispatch_run(event, u64::MAX);
+            processed += self.dispatch(event, u64::MAX);
         }
         // Time advances to the deadline even if the queue drained early.
         if self.now < deadline {
@@ -690,7 +684,7 @@ impl Sim {
                 continue;
             }
             self.now = at;
-            processed += self.dispatch_run(event, max_events - processed);
+            processed += self.dispatch(event, max_events - processed);
         }
         if self.queue.is_empty() {
             RunOutcome::Quiescent(processed)
@@ -702,7 +696,7 @@ impl Sim {
     /// True iff `event` is a cancelled timer that must be dropped
     /// unprocessed (counted, but invisible to nodes, time, and RNG).
     fn discard_if_stale(&mut self, event: &Event) -> bool {
-        if let Event::CancellableTimer { token, .. } = event {
+        if let Event::Timer { token: Some(token), .. } = event {
             if !self.slots.is_live(*token) {
                 self.stats.stale_timer_pops += 1;
                 return true;
@@ -711,21 +705,97 @@ impl Sim {
         false
     }
 
-    /// Dispatches `event`. If it is a `PacketArrive`, also drains the
-    /// run of immediately-following queued `PacketArrive`s for the same
-    /// node at the same timestamp (stopping at anything else) and
-    /// handles the whole run under a single node checkout — one `Ctx`
-    /// build and one emission drain instead of one per packet. Event
-    /// order, emission order and sequence numbers are unchanged: the
-    /// run is exactly the events that would have popped consecutively,
-    /// and nothing a handler does can reorder packets already queued
-    /// ahead of its own emissions. Returns how many events were
-    /// consumed (≥ 1); `limit` caps the run for `run_to_quiescence`.
-    fn dispatch_run(&mut self, event: Event, limit: u64) -> u64 {
-        let Event::PacketArrive { node, iface, pkt } = event else {
-            self.dispatch(event);
-            return 1;
-        };
+    /// Dispatches `event`, one arm per event kind. Returns how many
+    /// events were consumed: 1, or a whole packet run (see
+    /// [`Sim::dispatch_run`]), which `limit` caps for
+    /// `run_to_quiescence`.
+    fn dispatch(&mut self, event: Event, limit: u64) -> u64 {
+        match event {
+            Event::PacketArrive { node, iface, pkt } => return self.dispatch_run(node, iface, pkt, limit),
+            Event::Timer { node, timer, token } => self.fire_timer(node, timer, token),
+            Event::LinkTx { from, link, pkt } => self.transmit_deferred(from, link, pkt),
+            Event::Fault { action } => self.apply_fault(action),
+        }
+        self.stats.dispatched += 1;
+        1
+    }
+
+    /// Fires a timer at `node`, retiring its token first.
+    fn fire_timer(&mut self, node: NodeId, timer: TimerHandle, token: Option<TimerToken>) {
+        self.metrics.inc(self.engine_ids.ev_timer);
+        // Retire before dispatch so the handler can re-arm and a late
+        // cancel of this token is a no-op.
+        if let Some(token) = token {
+            self.slots.retire(token);
+        }
+        if self.world.nodes.get(node.0).map(Option::is_some) != Some(true) {
+            return;
+        }
+        if self.is_crashed(node) {
+            return; // timers die with the node
+        }
+        if self.trace.timers_enabled() {
+            self.trace.record(self.now, node, || TraceData::TimerFire {
+                owner: timer.owner,
+                token: timer.token,
+            });
+        }
+        self.with_node(node, |n, ctx| n.handle_timer(timer, ctx));
+    }
+
+    /// Puts a deferred transmission from `from` on `link`.
+    fn transmit_deferred(&mut self, from: NodeId, link: LinkId, pkt: Packet) {
+        self.metrics.inc(self.engine_ids.ev_linktx);
+        // RNG draws happen unconditionally (before the crash check) so
+        // a crash never shifts the draw sequence of the surviving
+        // traffic within the same plan.
+        let loss_draw: f64 = self.rng.random();
+        let jitter_draw: f64 = self.rng.random();
+        if self.is_crashed(from) {
+            self.trace.record(self.now, from, || TraceData::Drop {
+                pkt: Some(pkt_info(&pkt)),
+                reason: "fault.node_down".to_string(),
+            });
+            return;
+        }
+        let l = &mut self.world.links[link.0];
+        match l.transmit(from, pkt.wire_len(), self.now, loss_draw, jitter_draw) {
+            TxResult::Deliver { to, at } => {
+                self.trace.record(self.now, from, || TraceData::Tx(pkt_info(&pkt)));
+                self.seq += 1;
+                self.stats.scheduled += 1;
+                self.queue.push(
+                    at,
+                    self.seq,
+                    Event::PacketArrive { node: to.node, iface: to.iface, pkt },
+                );
+            }
+            TxResult::Dropped { cause } => {
+                self.metrics.inc(self.engine_ids.link_drops);
+                if matches!(
+                    cause,
+                    DropCause::Burst | DropCause::LinkDown | DropCause::Partition
+                ) {
+                    self.metrics.add_name(cause.reason(), 1);
+                }
+                self.trace.record(self.now, from, || TraceData::Drop {
+                    pkt: Some(pkt_info(&pkt)),
+                    reason: cause.reason().to_string(),
+                });
+            }
+        }
+    }
+
+    /// Delivers a packet, and drains the run of immediately-following
+    /// queued `PacketArrive`s for the same node at the same timestamp
+    /// (stopping at anything else), handling the whole run under a
+    /// single node checkout — one `Ctx` build and one emission drain
+    /// instead of one per packet. Event order, emission order and
+    /// sequence numbers are unchanged: the run is exactly the events
+    /// that would have popped consecutively, and nothing a handler does
+    /// can reorder packets already queued ahead of its own emissions.
+    /// Returns how many events were consumed (1..=`limit`).
+    fn dispatch_run(&mut self, node: NodeId, iface: usize, pkt: Packet, limit: u64) -> u64 {
         self.stats.dispatched += 1;
         self.metrics.inc(self.engine_ids.ev_packet);
         self.metrics.observe(self.engine_ids.pkt_bytes, pkt.wire_len() as u64);
@@ -771,107 +841,6 @@ impl Sim {
         run.clear();
         self.scratch_run = run;
         count
-    }
-
-    fn dispatch(&mut self, event: Event) {
-        self.stats.dispatched += 1;
-        match event {
-            Event::PacketArrive { node, iface, pkt } => {
-                self.metrics.inc(self.engine_ids.ev_packet);
-                self.metrics.observe(self.engine_ids.pkt_bytes, pkt.wire_len() as u64);
-                if self.world.nodes.get(node.0).map(Option::is_some) != Some(true) {
-                    return; // node removed mid-flight; drop silently
-                }
-                if self.is_crashed(node) {
-                    self.trace.record(self.now, node, || TraceData::Drop {
-                        pkt: Some(pkt_info(&pkt)),
-                        reason: "fault.node_down".to_string(),
-                    });
-                    return;
-                }
-                self.with_node(node, |n, ctx| {
-                    ctx.trace.record(ctx.now, node, || TraceData::Rx(pkt_info(&pkt)));
-                    n.handle_packet(iface, pkt, ctx);
-                });
-            }
-            Event::Timer { node, timer } => {
-                self.metrics.inc(self.engine_ids.ev_timer);
-                if self.world.nodes.get(node.0).map(Option::is_some) != Some(true) {
-                    return;
-                }
-                if self.is_crashed(node) {
-                    return; // timers die with the node
-                }
-                if self.trace.timers_enabled() {
-                    self.trace.record(self.now, node, || TraceData::TimerFire {
-                        owner: timer.owner,
-                        token: timer.token,
-                    });
-                }
-                self.with_node(node, |n, ctx| n.handle_timer(timer, ctx));
-            }
-            Event::CancellableTimer { node, timer, token } => {
-                self.metrics.inc(self.engine_ids.ev_timer);
-                // Retire before dispatch so the handler can re-arm and
-                // a late cancel of this token is a no-op.
-                self.slots.retire(token);
-                if self.world.nodes.get(node.0).map(Option::is_some) != Some(true) {
-                    return;
-                }
-                if self.is_crashed(node) {
-                    return;
-                }
-                if self.trace.timers_enabled() {
-                    self.trace.record(self.now, node, || TraceData::TimerFire {
-                        owner: timer.owner,
-                        token: timer.token,
-                    });
-                }
-                self.with_node(node, |n, ctx| n.handle_timer(timer, ctx));
-            }
-            Event::LinkTx { from, link, pkt } => {
-                self.metrics.inc(self.engine_ids.ev_linktx);
-                // RNG draws happen unconditionally (before the crash
-                // check) so a crash never shifts the draw sequence of
-                // the surviving traffic within the same plan.
-                let loss_draw: f64 = self.rng.random();
-                let jitter_draw: f64 = self.rng.random();
-                if self.is_crashed(from) {
-                    self.trace.record(self.now, from, || TraceData::Drop {
-                        pkt: Some(pkt_info(&pkt)),
-                        reason: "fault.node_down".to_string(),
-                    });
-                    return;
-                }
-                let l = &mut self.world.links[link.0];
-                match l.transmit(from, pkt.wire_len(), self.now, loss_draw, jitter_draw) {
-                    TxResult::Deliver { to, at } => {
-                        self.trace.record(self.now, from, || TraceData::Tx(pkt_info(&pkt)));
-                        self.seq += 1;
-                        self.stats.scheduled += 1;
-                        self.queue.push(
-                            at,
-                            self.seq,
-                            Event::PacketArrive { node: to.node, iface: to.iface, pkt },
-                        );
-                    }
-                    TxResult::Dropped { cause } => {
-                        self.metrics.inc(self.engine_ids.link_drops);
-                        if matches!(
-                            cause,
-                            DropCause::Burst | DropCause::LinkDown | DropCause::Partition
-                        ) {
-                            self.metrics.add_name(cause.reason(), 1);
-                        }
-                        self.trace.record(self.now, from, || TraceData::Drop {
-                            pkt: Some(pkt_info(&pkt)),
-                            reason: cause.reason().to_string(),
-                        });
-                    }
-                }
-            }
-            Event::Fault { action } => self.apply_fault(action),
-        }
     }
 
     /// Applies one fault transition: mutates link/node fault state,

@@ -1,29 +1,29 @@
-//! AES-128 (FIPS 197) with CBC and CTR modes.
+//! AES-128 (FIPS 197) in CBC mode.
 //!
 //! This is the symmetric cipher for the HIP ESP-BEET data plane and the
 //! TLS record layer. Three implementations live here:
 //!
 //! - The **AES-NI kernels** (private `ni` module, x86-64 only): one
-//!   `aesenc`/`aesdec` per round, CBC decryption and CTR pipelined four
-//!   blocks per iteration. [`Aes128`]'s methods run them whenever the
+//!   `aesenc`/`aesdec` per round, CBC decryption pipelined four blocks
+//!   per iteration. [`Aes128`]'s methods run them whenever the
 //!   CPU reports AES-NI and SSSE3 at runtime.
 //! - The **portable T-table path** ([`portable`]): four 256×u32
 //!   encryption tables and their inverses, built once via `OnceLock`
 //!   *from the S-box itself* (so a table bug cannot silently diverge
 //!   from the byte-wise math — both derive from the same constants),
 //!   fuse SubBytes/ShiftRows/MixColumns into one lookup-XOR round over
-//!   four column words. CBC folds the prev-block XOR into the first
-//!   AddRoundKey, and CTR runs a multi-block word-level keystream path.
+//!   four column words. CBC encryption folds the prev-block XOR into the
+//!   first AddRoundKey.
 //!   [`Aes128`]'s methods fall back to it on CPUs without AES-NI.
 //! - The **byte-wise reference** ([`reference`](mod@reference)): the
 //!   original straightforward separate-pass implementation as free
 //!   functions mirroring every entry point (`encrypt_block`, `decrypt_block`,
-//!   `cbc_encrypt_into`, `cbc_decrypt_into`, `ctr_apply`). It is only
-//!   an oracle: proptests pin both other paths to it byte for byte, and
-//!   `crypto_perf` times it as the baseline. Nothing at runtime calls it.
+//!   `cbc_encrypt_into`, `cbc_decrypt_into`). It is only an oracle:
+//!   proptests pin both other paths to it byte for byte, and `perf_gates`
+//!   times it as the baseline. Nothing at runtime calls it.
 //!
 //! All three share one key schedule and are pinned to the FIPS 197 /
-//! SP 800-38A vectors below. Nothing selects a backend but the CPU:
+//! SP 800-38A CBC vectors below. Nothing selects a backend but the CPU:
 //! [`backend`] names the one in use.
 
 use std::sync::OnceLock;
@@ -361,18 +361,6 @@ impl Aes128 {
         }
         portable::cbc_decrypt_into(self, iv, ciphertext, out)
     }
-
-    /// CTR-mode keystream XOR (encryption and decryption are identical).
-    /// The 16-byte `nonce_counter` is the initial counter block; the final
-    /// 32 bits are incremented per block, wrapping without a carry into
-    /// the nonce.
-    pub fn ctr_apply(&self, nonce_counter: &[u8; BLOCK_LEN], data: &mut [u8]) {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(ni) = ni::detect() {
-            return ni.ctr_apply(self, nonce_counter, data);
-        }
-        portable::ctr_apply(self, nonce_counter, data)
-    }
 }
 
 /// The AES implementation [`Aes128`]'s methods run on this CPU:
@@ -407,26 +395,14 @@ fn pkcs7_unpad(out: &mut Vec<u8>, start: usize) -> bool {
     true
 }
 
-/// Increments the trailing 32-bit big-endian counter of a CTR block.
-fn incr_counter(counter: &mut [u8; BLOCK_LEN]) {
-    for i in (BLOCK_LEN - 4..BLOCK_LEN).rev() {
-        counter[i] = counter[i].wrapping_add(1);
-        if counter[i] != 0 {
-            break;
-        }
-    }
-}
-
 pub mod portable {
     //! The T-table path: runs on every CPU, and is what [`Aes128`]'s
     //! methods use where AES-NI is missing. Each function has the
     //! signature of the [`Aes128`] method it mirrors (with the key as
-    //! first argument), so `crypto_perf` and the proptests can run it on
-    //! a CPU that has AES-NI too.
+    //! first argument), so the criterion benches and the tests can run
+    //! it on a CPU that has AES-NI too.
 
-    use super::{
-        incr_counter, load_words, pkcs7_pad, pkcs7_unpad, store_words, tables, Aes128, BLOCK_LEN,
-    };
+    use super::{load_words, pkcs7_pad, pkcs7_unpad, store_words, tables, Aes128, BLOCK_LEN};
 
     /// T-table [`Aes128::encrypt_block`].
     pub fn encrypt_block(aes: &Aes128, block: &mut [u8; BLOCK_LEN]) {
@@ -491,55 +467,19 @@ pub mod portable {
         }
         pkcs7_unpad(out, start)
     }
-
-    /// T-table [`Aes128::ctr_apply`]. Whole blocks run through the
-    /// word-level keystream path; only a trailing partial block falls
-    /// back to byte-wise XOR.
-    pub fn ctr_apply(aes: &Aes128, nonce_counter: &[u8; BLOCK_LEN], data: &mut [u8]) {
-        let mut counter = *nonce_counter;
-        let t = tables();
-        let rk0 = aes.rk[0];
-        let mut chunks = data.chunks_exact_mut(BLOCK_LEN);
-        for chunk in &mut chunks {
-            let mut s = load_words(&counter);
-            for i in 0..4 {
-                s[i] ^= rk0[i];
-            }
-            let ks = aes.encrypt_words(t, s);
-            let mut d = load_words(chunk);
-            for i in 0..4 {
-                d[i] ^= ks[i];
-            }
-            store_words(d, chunk);
-            incr_counter(&mut counter);
-        }
-        let tail = chunks.into_remainder();
-        if !tail.is_empty() {
-            let mut s = load_words(&counter);
-            for i in 0..4 {
-                s[i] ^= rk0[i];
-            }
-            let mut keystream = [0u8; BLOCK_LEN];
-            store_words(aes.encrypt_words(t, s), &mut keystream);
-            for (d, k) in tail.iter_mut().zip(keystream.iter()) {
-                *d ^= k;
-            }
-        }
-    }
 }
 
 pub mod reference {
     //! The original byte-oriented AES implementation: separate SubBytes/
     //! ShiftRows/MixColumns/AddRoundKey passes, exactly as in FIPS 197's
-    //! pseudocode, and CBC/CTR as plain loops over single blocks. Slower
+    //! pseudocode, and CBC as plain loops over single blocks. Slower
     //! but obviously correct; each function has the signature of the
     //! [`Aes128`] method it mirrors (with the key as first argument), and
     //! proptests prove the AES-NI and T-table paths equivalent to it on
     //! random keys, IVs and lengths.
 
     use super::{
-        incr_counter, inv_sbox, gmul, pkcs7_pad, pkcs7_unpad, store_words, xtime, Aes128, BLOCK_LEN,
-        SBOX,
+        inv_sbox, gmul, pkcs7_pad, pkcs7_unpad, store_words, xtime, Aes128, BLOCK_LEN, SBOX,
     };
 
     /// Byte-wise [`Aes128::cbc_encrypt_into`].
@@ -575,19 +515,6 @@ pub mod reference {
             prev = saved;
         }
         pkcs7_unpad(out, start)
-    }
-
-    /// Byte-wise [`Aes128::ctr_apply`].
-    pub fn ctr_apply(aes: &Aes128, nonce_counter: &[u8; BLOCK_LEN], data: &mut [u8]) {
-        let mut counter = *nonce_counter;
-        for chunk in data.chunks_mut(BLOCK_LEN) {
-            let mut keystream = counter;
-            encrypt_block(aes, &mut keystream);
-            for (d, k) in chunk.iter_mut().zip(keystream.iter()) {
-                *d ^= k;
-            }
-            incr_counter(&mut counter);
-        }
     }
 
     /// Encrypts one block with the byte-wise reference rounds.
@@ -706,7 +633,7 @@ mod tests {
             .collect()
     }
 
-    /// SP 800-38A's AES-128 key, shared by the CBC/CTR vectors.
+    /// SP 800-38A's AES-128 key.
     const NIST_KEY: [u8; 16] = [
         0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f,
         0x3c,
@@ -778,26 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn sp800_38a_ctr_vectors() {
-        // SP 800-38A F.5.1/F.5.2 (encrypt == decrypt in CTR).
-        let counter: [u8; 16] = unhex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff").try_into().expect("ctr");
-        let aes = Aes128::new(&NIST_KEY);
-        let mut data = nist_plaintext();
-        aes.ctr_apply(&counter, &mut data);
-        assert_eq!(
-            hex(&data),
-            concat!(
-                "874d6191b620e3261bef6864990db6ce",
-                "9806f66b7970fdff8617187bb9fffdff",
-                "5ae4df3edbd5d35e5b4f09020db03eab",
-                "1e031dda2fbe03d1792170a0f3009cee",
-            )
-        );
-        aes.ctr_apply(&counter, &mut data);
-        assert_eq!(data, nist_plaintext());
-    }
-
-    #[test]
     fn fast_path_matches_reference_blocks() {
         // Deterministic pseudo-random keys/blocks; the proptest suite in
         // tests/properties.rs covers truly random ones.
@@ -833,21 +740,16 @@ mod tests {
     }
 
     #[test]
-    fn cbc_and_ctr_match_reference() {
+    fn cbc_matches_reference() {
         let aes = Aes128::new(b"0123456789abcdef");
         let iv = *b"fedcba9876543210";
         let msg: Vec<u8> = (0..777).map(|i| (i * 13 % 256) as u8).collect();
         let fast_ct = aes.cbc_encrypt(&iv, &msg);
-        let mut fast_ctr = msg.clone();
-        aes.ctr_apply(&iv, &mut fast_ctr);
         let mut ref_ct = Vec::new();
         reference::cbc_encrypt_into(&aes, &iv, &msg, &mut ref_ct);
-        let mut ref_ctr = msg.clone();
-        reference::ctr_apply(&aes, &iv, &mut ref_ctr);
         let mut ref_pt = Vec::new();
         assert!(reference::cbc_decrypt_into(&aes, &iv, &fast_ct, &mut ref_pt), "cross decrypt");
         assert_eq!(fast_ct, ref_ct, "CBC fast path must be byte-identical");
-        assert_eq!(fast_ctr, ref_ctr, "CTR fast path must be byte-identical");
         assert_eq!(ref_pt, msg);
         assert_eq!(aes.cbc_decrypt(&iv, &ref_ct).as_deref(), Some(&msg[..]));
     }
@@ -893,42 +795,6 @@ mod tests {
     }
 
     #[test]
-    fn ctr_round_trip_and_symmetry() {
-        let aes = Aes128::new(b"0123456789abcdef");
-        let nonce = [7u8; 16];
-        let msg: Vec<u8> = (0..1000).map(|i| (i % 256) as u8).collect();
-        let mut data = msg.clone();
-        aes.ctr_apply(&nonce, &mut data);
-        assert_ne!(data, msg);
-        aes.ctr_apply(&nonce, &mut data);
-        assert_eq!(data, msg);
-    }
-
-    #[test]
-    fn ctr_counter_increments_across_blocks() {
-        let aes = Aes128::new(b"0123456789abcdef");
-        let nonce = [0u8; 16];
-        let mut a = vec![0u8; 32];
-        aes.ctr_apply(&nonce, &mut a);
-        // Second block keystream must differ from the first.
-        assert_ne!(a[..16], a[16..]);
-    }
-
-    #[test]
-    fn ctr_counter_wraps_carry() {
-        // Trailing counter 0xffffffff must carry into a wrap, matching
-        // the reference path bit-for-bit.
-        let aes = Aes128::new(b"0123456789abcdef");
-        let mut nonce = [9u8; 16];
-        nonce[12..].copy_from_slice(&0xffff_ffffu32.to_be_bytes());
-        let mut fast = vec![0u8; 50];
-        aes.ctr_apply(&nonce, &mut fast);
-        let mut slow = vec![0u8; 50];
-        reference::ctr_apply(&aes, &nonce, &mut slow);
-        assert_eq!(fast, slow);
-    }
-
-    #[test]
     fn key_holds_two_schedules() {
         // Encryption and decryption round keys, 11 × 16 bytes each: the
         // AES-NI and reference paths derive their byte order at load
@@ -943,13 +809,12 @@ mod tests {
         use super::super::*;
         use proptest::prelude::*;
 
-        /// One implementation's five entry points as free functions.
+        /// One implementation's four entry points as free functions.
         struct Backend {
             encrypt_block: fn(&Aes128, &mut [u8; BLOCK_LEN]),
             decrypt_block: fn(&Aes128, &mut [u8; BLOCK_LEN]),
             cbc_encrypt_into: fn(&Aes128, &[u8; BLOCK_LEN], &[u8], &mut Vec<u8>),
             cbc_decrypt_into: fn(&Aes128, &[u8; BLOCK_LEN], &[u8], &mut Vec<u8>) -> bool,
-            ctr_apply: fn(&Aes128, &[u8; BLOCK_LEN], &mut [u8]),
         }
 
         const T_TABLE: Backend = Backend {
@@ -957,7 +822,6 @@ mod tests {
             decrypt_block: portable::decrypt_block,
             cbc_encrypt_into: portable::cbc_encrypt_into,
             cbc_decrypt_into: portable::cbc_decrypt_into,
-            ctr_apply: portable::ctr_apply,
         };
 
         /// The AES-NI kernels, or `None` (with a note) on a CPU without
@@ -973,7 +837,6 @@ mod tests {
                     decrypt_block: |aes, block| ni().decrypt_block(aes, block),
                     cbc_encrypt_into: |aes, iv, pt, out| ni().cbc_encrypt_into(aes, iv, pt, out),
                     cbc_decrypt_into: |aes, iv, ct, out| ni().cbc_decrypt_into(aes, iv, ct, out),
-                    ctr_apply: |aes, counter, data| ni().ctr_apply(aes, counter, data),
                 });
             }
             eprintln!("note: this CPU has no AES-NI; the hardware case is skipped");
@@ -987,7 +850,6 @@ mod tests {
             msg: Vec<u8>,
             garbage: Vec<u8>,
             prefix: Vec<u8>,
-            below_wrap: u32,
         }
 
         fn case() -> impl Strategy<Value = Case> {
@@ -996,20 +858,18 @@ mod tests {
                 proptest::collection::vec(any::<u8>(), 0..2048),
                 proptest::collection::vec(any::<u8>(), 0..2048),
                 proptest::collection::vec(any::<u8>(), 1..40),
-                0u32..200,
             )
-                .prop_map(|((key, iv, block), msg, garbage, prefix, below_wrap)| Case {
+                .prop_map(|((key, iv, block), msg, garbage, prefix)| Case {
                     key,
                     iv,
                     block,
                     msg,
                     garbage,
                     prefix,
-                    below_wrap,
                 })
         }
 
-        /// Runs all five entry points of `b` and of the reference on one
+        /// Runs all four entry points of `b` and of the reference on one
         /// case and demands identical bytes and verdicts.
         fn check(b: &Backend, c: &Case) {
             let aes = Aes128::new(&c.key);
@@ -1042,14 +902,6 @@ mod tests {
                 assert_eq!(fast_ok, slow_ok, "cbc_decrypt_into verdict, {} bytes", input.len());
                 assert_eq!(fast, slow, "cbc_decrypt_into output, {} bytes", input.len());
             }
-
-            let mut counter = c.iv;
-            counter[12..].copy_from_slice(&(0xffff_ffff - c.below_wrap).to_be_bytes());
-            let mut fast = c.msg.clone();
-            (b.ctr_apply)(&aes, &counter, &mut fast);
-            let mut slow = c.msg.clone();
-            reference::ctr_apply(&aes, &counter, &mut slow);
-            assert_eq!(fast, slow, "ctr_apply across the counter wrap");
         }
 
         proptest! {
@@ -1068,8 +920,6 @@ mod tests {
         #[test]
         fn every_backend_meets_the_fips_and_sp800_38a_vectors() {
             let iv: [u8; 16] = super::unhex("000102030405060708090a0b0c0d0e0f").try_into().expect("iv");
-            let counter: [u8; 16] =
-                super::unhex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff").try_into().expect("ctr");
             let aes = Aes128::new(&super::NIST_KEY);
             for (name, b) in [("t-table", Some(T_TABLE)), ("aes-ni", aes_ni())] {
                 let Some(b) = b else { continue };
@@ -1087,18 +937,6 @@ mod tests {
                         "5086cb9b507219ee95db113a917678b2",
                         "73bed6b8e3c1743b7116e69e22229516",
                         "3ff1caa1681fac09120eca307586e1a7",
-                    ),
-                    "{name}"
-                );
-                let mut data = super::nist_plaintext();
-                (b.ctr_apply)(&aes, &counter, &mut data);
-                assert_eq!(
-                    super::hex(&data),
-                    concat!(
-                        "874d6191b620e3261bef6864990db6ce",
-                        "9806f66b7970fdff8617187bb9fffdff",
-                        "5ae4df3edbd5d35e5b4f09020db03eab",
-                        "1e031dda2fbe03d1792170a0f3009cee",
                     ),
                     "{name}"
                 );

@@ -8,8 +8,8 @@
 //! (`pshufb`) into FIPS 197 byte order, the register's, as it is loaded.
 //!
 //! CBC encryption is serial: every block waits for the one before it.
-//! CBC decryption and CTR are not, so they run [`LANES`] independent
-//! blocks per iteration to keep the AES unit's pipeline full.
+//! CBC decryption is not, so it runs [`LANES`] independent blocks per
+//! iteration to keep the AES unit's pipeline full.
 //!
 //! # Safety
 //!
@@ -20,12 +20,12 @@
 
 use super::{pkcs7_pad, pkcs7_unpad, Aes128, BLOCK_LEN};
 use std::arch::x86_64::{
-    __m128i, _mm_add_epi32, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128,
-    _mm_aesenclast_si128, _mm_loadu_si128, _mm_setr_epi32, _mm_setr_epi8, _mm_setzero_si128,
-    _mm_shuffle_epi8, _mm_storeu_si128, _mm_xor_si128,
+    __m128i, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128, _mm_aesenclast_si128,
+    _mm_loadu_si128, _mm_setr_epi8, _mm_setzero_si128, _mm_shuffle_epi8, _mm_storeu_si128,
+    _mm_xor_si128,
 };
 
-/// Blocks in flight per iteration of CBC decryption and CTR.
+/// Blocks in flight per iteration of CBC decryption.
 const LANES: usize = 4;
 
 /// The eleven round keys, loaded into registers once per call.
@@ -37,7 +37,7 @@ type Keys = [__m128i; 11];
 pub(super) struct Ni(());
 
 /// Returns the token if the CPU has AES-NI and SSSE3 (`pshufb`, which
-/// byte-swaps `dk` and the CTR counter). std caches the CPUID answer,
+/// byte-swaps the round keys). std caches the CPUID answer,
 /// so this is a load and a test per call.
 #[inline]
 pub(super) fn detect() -> Option<Ni> {
@@ -84,13 +84,6 @@ impl Ni {
         // SAFETY: an `Ni` exists only where `detect` found AES-NI and SSSE3.
         unsafe { cbc_decrypt_into(aes, iv, ciphertext, out) }
     }
-
-    /// AES-NI [`Aes128::ctr_apply`].
-    #[inline]
-    pub(super) fn ctr_apply(self, aes: &Aes128, nonce_counter: &[u8; BLOCK_LEN], data: &mut [u8]) {
-        // SAFETY: an `Ni` exists only where `detect` found AES-NI and SSSE3.
-        unsafe { ctr_apply(aes, nonce_counter, data) }
-    }
 }
 
 #[inline]
@@ -121,23 +114,15 @@ fn load_keys(schedule: &[[u32; 4]; 11]) -> Keys {
     k
 }
 
-/// Encrypts `N` independent blocks, interleaved round by round so up to
-/// `N` `aesenc`s are in flight at once.
+/// Encrypts one block.
 #[inline]
 #[target_feature(enable = "aes")]
-fn encrypt<const N: usize>(k: &Keys, mut s: [__m128i; N]) -> [__m128i; N] {
-    for s in &mut s {
-        *s = _mm_xor_si128(*s, k[0]);
-    }
+fn encrypt(k: &Keys, mut s: __m128i) -> __m128i {
+    s = _mm_xor_si128(s, k[0]);
     for rk in &k[1..10] {
-        for s in &mut s {
-            *s = _mm_aesenc_si128(*s, *rk);
-        }
+        s = _mm_aesenc_si128(s, *rk);
     }
-    for s in &mut s {
-        *s = _mm_aesenclast_si128(*s, k[10]);
-    }
-    s
+    _mm_aesenclast_si128(s, k[10])
 }
 
 /// Decrypts `N` independent blocks, interleaved round by round.
@@ -161,7 +146,7 @@ fn decrypt<const N: usize>(k: &Keys, mut s: [__m128i; N]) -> [__m128i; N] {
 #[target_feature(enable = "aes,ssse3")]
 fn encrypt_block(aes: &Aes128, block: &mut [u8; BLOCK_LEN]) {
     let k = load_keys(&aes.rk);
-    store(block, encrypt(&k, [load(block)])[0]);
+    store(block, encrypt(&k, load(block)));
 }
 
 #[target_feature(enable = "aes,ssse3")]
@@ -177,7 +162,7 @@ fn cbc_encrypt_into(aes: &Aes128, iv: &[u8; BLOCK_LEN], plaintext: &[u8], out: &
     let k = load_keys(&aes.rk);
     let mut prev = load(iv);
     for block in out[start..].as_chunks_mut().0 {
-        [prev] = encrypt(&k, [_mm_xor_si128(load(block), prev)]);
+        prev = encrypt(&k, _mm_xor_si128(load(block), prev));
         store(block, prev);
     }
 }
@@ -211,39 +196,4 @@ fn cbc_decrypt_into(
         prev = c;
     }
     pkcs7_unpad(out, start)
-}
-
-#[target_feature(enable = "aes,ssse3")]
-fn ctr_apply(aes: &Aes128, nonce_counter: &[u8; BLOCK_LEN], data: &mut [u8]) {
-    let k = load_keys(&aes.rk);
-    // Reversing the counter word's bytes (an involution) turns the
-    // big-endian counter into lane 3 of the register, where a 32-bit
-    // add steps it and wraps it without a carry into the nonce.
-    let swap = _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 15, 14, 13, 12);
-    let one = _mm_setr_epi32(0, 0, 0, 1);
-    let mut counter = _mm_shuffle_epi8(load(nonce_counter), swap);
-    let mut next_block = || {
-        let block = _mm_shuffle_epi8(counter, swap);
-        counter = _mm_add_epi32(counter, one);
-        block
-    };
-    let (blocks, tail) = data.as_chunks_mut();
-    let (runs, rest) = blocks.as_chunks_mut::<LANES>();
-    for run in runs {
-        let ks = encrypt::<LANES>(&k, std::array::from_fn(|_| next_block()));
-        for (block, ks) in run.iter_mut().zip(ks) {
-            store(block, _mm_xor_si128(load(block), ks));
-        }
-    }
-    for block in rest {
-        let [ks] = encrypt(&k, [next_block()]);
-        store(block, _mm_xor_si128(load(block), ks));
-    }
-    if !tail.is_empty() {
-        let mut keystream = [0u8; BLOCK_LEN];
-        store(&mut keystream, encrypt(&k, [next_block()])[0]);
-        for (d, k) in tail.iter_mut().zip(&keystream) {
-            *d ^= k;
-        }
-    }
 }

@@ -13,7 +13,7 @@
 //! - [`dh`] — RFC 3526 MODP Diffie–Hellman (the BEX key agreement)
 //! - [`ecdsa`] — P-256 signatures (the HIP ECC extension)
 //! - [`mod@sha256`], [`hmac`] — FIPS 180-4 / RFC 2104
-//! - [`aes`] — AES-128 with CBC and CTR modes (ESP + TLS record payloads)
+//! - [`aes`] — AES-128 in CBC mode (ESP + TLS record payloads)
 //! - [`kdf`] — HIP KEYMAT (RFC 5201 §6.5) and a TLS-style PRF
 //!
 //! On x86-64, AES and SHA-256 run on AES-NI and SHA-NI kernels when the

@@ -154,19 +154,6 @@ proptest! {
         prop_assert_eq!(aes.cbc_decrypt(&iv, &ct).expect("valid"), msg);
     }
 
-    #[test]
-    fn aes_ctr_is_involutive(
-        key in any::<[u8; 16]>(),
-        nonce in any::<[u8; 16]>(),
-        msg in proptest::collection::vec(any::<u8>(), 0..2000),
-    ) {
-        let aes = Aes128::new(&key);
-        let mut data = msg.clone();
-        aes.ctr_apply(&nonce, &mut data);
-        aes.ctr_apply(&nonce, &mut data);
-        prop_assert_eq!(data, msg);
-    }
-
     // The AES properties below reach whichever backend this CPU selects;
     // the unit tests in `aes.rs` pin the AES-NI and T-table paths one by
     // one.
@@ -234,23 +221,6 @@ proptest! {
             prop_assert_eq!(fast_ok, slow_ok);
             prop_assert_eq!(fast, slow);
         }
-    }
-
-    #[test]
-    fn ctr_apply_matches_reference_across_counter_wrap(
-        key in any::<[u8; 16]>(),
-        nonce in any::<[u8; 16]>(),
-        msg in proptest::collection::vec(any::<u8>(), 0..2048),
-        below_wrap in 0u32..200,
-    ) {
-        let aes = Aes128::new(&key);
-        let mut counter = nonce;
-        counter[12..].copy_from_slice(&(0xffff_ffff - below_wrap).to_be_bytes());
-        let mut fast = msg.clone();
-        aes.ctr_apply(&counter, &mut fast);
-        let mut slow = msg;
-        reference::ctr_apply(&aes, &counter, &mut slow);
-        prop_assert_eq!(fast, slow);
     }
 
     #[test]

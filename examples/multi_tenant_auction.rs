@@ -30,7 +30,14 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let clients: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(20);
+    let clients = match args.get(2).map(|s| s.parse::<usize>()) {
+        None => 20,
+        Some(Ok(n)) if n > 0 => n,
+        Some(_) => {
+            eprintln!("bad client count {:?} — expected a positive integer", args[2]);
+            std::process::exit(2);
+        }
+    };
 
     println!("deploying RUBiS in the simulated EC2 — scenario: {} ...", scenario.label());
     let cfg = RubisConfig::fig2(scenario, 2026);
