@@ -76,12 +76,15 @@ pub fn bulk_transfer(hip: bool, gso: GsoMode, bytes: u64, seed: u64) -> BulkOutc
 mod tests {
     use super::*;
 
-    /// Exact batching keeps Off's event schedule on the plain path.
+    /// Exact batching keeps Off's event schedule on the plain path, and
+    /// the same-tick lookahead never pushes the scheduler's window
+    /// ahead of the clock.
     #[test]
     fn exact_dispatches_as_many_events_as_off() {
         let off = bulk_transfer(false, GsoMode::Off, 512 * 1024, 7);
         let exact = bulk_transfer(false, GsoMode::Exact, 512 * 1024, 7);
         assert_eq!(off.stats.dispatched, exact.stats.dispatched);
+        assert_eq!(exact.stats.queue_behind_window_pushes, 0);
     }
 
     /// Over ESP too, Exact dispatches exactly as many events as Off.
@@ -95,5 +98,6 @@ mod tests {
         assert_eq!(off.stats.dispatched, exact.stats.dispatched);
         assert!(exact.stats.coalesced_events > 0, "no same-tick arrivals were coalesced");
         assert!(exact.goodput_mbits > 1.0);
+        assert_eq!(exact.stats.queue_behind_window_pushes, 0);
     }
 }

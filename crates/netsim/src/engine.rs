@@ -487,6 +487,12 @@ pub struct SimStats {
     pub timers_cancelled: u64,
     /// Cancelled timer events discarded at pop time (never dispatched).
     pub stale_timer_pops: u64,
+    /// Pushes that landed in the scheduler's sorted current bucket.
+    pub queue_current_pushes: u64,
+    /// Pushes timed before the scheduler's window: each is an ordered
+    /// insert into the current bucket. Zero for a run driven by one
+    /// `run_until` or `run_to_quiescence` call.
+    pub queue_behind_window_pushes: u64,
     /// Pushes that took the O(1) wheel fast path.
     pub queue_wheel_pushes: u64,
     /// Pushes that landed in the far-future overflow heap.
@@ -602,6 +608,8 @@ impl Sim {
     pub fn stats(&self) -> SimStats {
         let q = self.queue.stats();
         SimStats {
+            queue_current_pushes: q.pushed_current,
+            queue_behind_window_pushes: q.pushed_behind_window,
             queue_wheel_pushes: q.pushed_wheel,
             queue_overflow_pushes: q.pushed_overflow,
             queue_migrations: q.migrated,
@@ -803,7 +811,7 @@ impl Sim {
         run.clear();
         run.push((iface, pkt));
         while (run.len() as u64) < limit {
-            match self.queue.peek() {
+            match self.queue.peek_current() {
                 Some((at, _seq, Event::PacketArrive { node: n, .. }))
                     if at == self.now && *n == node => {}
                 _ => break,

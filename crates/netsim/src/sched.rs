@@ -30,6 +30,24 @@
 //! `(time, seq)` sequence, exactly what the old global heap produced.
 //! The property test in `tests/sched_equivalence.rs` checks this
 //! against a reference `BinaryHeap` under random workloads.
+//!
+//! Only [`CalendarQueue::pop`] and [`CalendarQueue::peek_key`] advance
+//! the window. During a dispatch the sole lookahead is
+//! [`CalendarQueue::peek_current`], which reads `cur` and never moves
+//! `cur_start`. That is exact: the event just popped came from `cur`,
+//! and every other event at the same time is in `cur` too (the wheel
+//! holds only events at or after `cur_start + width`, overflow only
+//! events at or after `cur_start + horizon`). Keeping the window at the
+//! popped event's bucket means a handler's pushes at `now + δ` land in
+//! their own tier instead of behind the window, where they would be
+//! sorted into `cur` one `Vec::insert` at a time.
+//!
+//! Memory: a bucket owns a buffer only while it is occupied. Draining a
+//! bucket moves its buffer into `cur`; the emptied old `cur` is kept as
+//! the one `spare` if it is larger than the current spare, and a push
+//! into an empty, unallocated bucket takes the spare. So the wheel's
+//! buckets do not each park the largest buffer that ever passed
+//! through them.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -74,8 +92,15 @@ impl<T> Ord for Entry<T> {
 /// Counters the engine folds into its stats snapshot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Pushes that landed in the current-bucket heap.
+    /// Pushes that landed in the current bucket (`cur`, a sorted
+    /// `Vec`), stragglers behind the window included.
     pub pushed_current: u64,
+    /// Pushes with a time before `cur_start`: the window had already
+    /// moved past them. Each is an ordered insert into `cur`. Zero when
+    /// a run is driven by `pop` alone; `Sim::run_until`'s deadline
+    /// `peek_key` can move the window past the deadline, so a caller
+    /// that runs in slices pushes behind it.
+    pub pushed_behind_window: u64,
     /// Pushes that landed in a wheel bucket (the O(1) fast path).
     pub pushed_wheel: u64,
     /// Pushes that landed in the overflow heap (beyond the horizon).
@@ -99,7 +124,11 @@ pub struct CalendarQueue<T> {
     /// is at the tail, so pops are O(1) and draining a wheel bucket is
     /// one `sort_unstable` instead of per-event heap sifts.
     cur: Vec<Entry<T>>,
+    /// Wheel buckets; only occupied ones hold an allocation.
     wheel: Vec<Vec<Entry<T>>>,
+    /// The largest emptied `cur` buffer, handed to the next bucket that
+    /// becomes occupied.
+    spare: Vec<Entry<T>>,
     /// One bit per wheel bucket; set iff the bucket is non-empty.
     occ: Vec<u64>,
     wheel_len: usize,
@@ -130,6 +159,7 @@ impl<T> CalendarQueue<T> {
             horizon: (nbuckets as u64) << width_log2,
             cur_start: 0,
             cur: Vec::new(),
+            spare: Vec::new(),
             wheel: (0..nbuckets).map(|_| Vec::new()).collect(),
             occ: vec![0u64; nbuckets.div_ceil(64)],
             wheel_len: 0,
@@ -224,17 +254,25 @@ impl<T> CalendarQueue<T> {
 
     fn push_entry(&mut self, e: Entry<T>) {
         if e.at < self.cur_start.saturating_add(self.width()) {
-            // Current bucket (or a straggler before the window —
-            // impossible during a run, but the ordered insert below
-            // handles it anyway). Sorted-descending insert; the bucket
-            // is small, so the memmove is cheap and rare.
+            // Current bucket, or a straggler behind the window: a
+            // `peek_key` past a `run_until` deadline already moved the
+            // window, and a caller running in slices schedules from the
+            // deadline. Sorted-descending insert keeps either in order;
+            // the bucket is small, so the memmove is cheap.
             self.stats.pushed_current += 1;
+            if e.at < self.cur_start {
+                self.stats.pushed_behind_window += 1;
+            }
             let pos = self.cur.partition_point(|x| (x.at, x.seq) > (e.at, e.seq));
             self.cur.insert(pos, e);
         } else if e.at < self.cur_start.saturating_add(self.horizon) {
             self.stats.pushed_wheel += 1;
             let idx = self.bucket_index(e.at);
-            self.wheel[idx].push(e);
+            let bucket = &mut self.wheel[idx];
+            if bucket.capacity() == 0 {
+                *bucket = std::mem::take(&mut self.spare);
+            }
+            bucket.push(e);
             self.set_occ(idx);
             self.wheel_len += 1;
         } else {
@@ -263,9 +301,13 @@ impl<T> CalendarQueue<T> {
                         self.stats.advances += 1;
                         self.cur_start = next_start;
                         let idx = self.bucket_index(self.cur_start);
-                        // Swap the buffers so the old `cur` allocation
-                        // becomes the bucket's next fill.
-                        std::mem::swap(&mut self.cur, &mut self.wheel[idx]);
+                        // The bucket's buffer becomes `cur`; the empty
+                        // old `cur` is kept only if it beats the spare.
+                        let drained = std::mem::take(&mut self.wheel[idx]);
+                        let old = std::mem::replace(&mut self.cur, drained);
+                        if old.capacity() > self.spare.capacity() {
+                            self.spare = old;
+                        }
                         self.clear_occ(idx);
                         self.wheel_len -= self.cur.len();
                         self.cur.sort_unstable_by(|a, b| b.cmp(a));
@@ -314,12 +356,12 @@ impl<T> CalendarQueue<T> {
         self.cur.last().map(|e| (SimTime(e.at), e.seq))
     }
 
-    /// The earliest event — key plus a borrow of the item — without
-    /// popping it, advancing the window if needed (hence `&mut`).
-    pub fn peek(&mut self) -> Option<(SimTime, u64, &T)> {
-        if !self.advance() {
-            return None;
-        }
+    /// The earliest event of the current bucket — key plus a borrow of
+    /// the item — without popping it and without advancing the window.
+    /// `None` once `cur` is empty, even if later buckets hold events.
+    /// Right after a `pop`, every other event at the popped time is in
+    /// `cur`, so this is an exact same-tick lookahead.
+    pub fn peek_current(&self) -> Option<(SimTime, u64, &T)> {
         self.cur.last().map(|e| (SimTime(e.at), e.seq, &e.item))
     }
 
@@ -393,6 +435,55 @@ mod tests {
         // overflow event at 70.
         q.push(SimTime(76), 4, 0);
         assert_eq!(drain(&mut q), vec![(70, 2), (76, 4)]);
+    }
+
+    #[test]
+    fn peek_current_never_advances_the_window() {
+        // Regression: the engine's same-tick lookahead once advanced the
+        // window to the next occupied bucket, so every push the handler
+        // then made at `now + δ` fell behind it into `cur`.
+        let mut q = CalendarQueue::with_geometry(10, 4); // 1 µs buckets
+        q.push(SimTime(100), 1, 0); // current bucket
+        q.push(SimTime(5_000), 2, 0); // wheel
+        assert_eq!(q.pop().map(|(t, s, _)| (t.as_nanos(), s)), Some((100, 1)));
+        assert!(q.peek_current().is_none(), "cur is empty; the wheel is not");
+        assert_eq!(q.len(), 1);
+        let before = q.stats();
+        q.push(SimTime(100 + 2_000), 3, 0);
+        let after = q.stats();
+        assert_eq!(after.pushed_wheel, before.pushed_wheel + 1, "now + δ goes to the wheel");
+        assert_eq!(after.pushed_current, before.pushed_current);
+        assert_eq!(after.pushed_behind_window, 0);
+        assert_eq!(drain(&mut q), vec![(2_100, 3), (5_000, 2)]);
+    }
+
+    #[test]
+    fn behind_window_pushes_are_counted_and_ordered() {
+        // `peek_key` moves the window to the next event; a push before it
+        // is a straggler, still popped in order.
+        let mut q = CalendarQueue::with_geometry(10, 4);
+        q.push(SimTime(9_000), 1, 0);
+        assert_eq!(q.peek_key(), Some((SimTime(9_000), 1)));
+        q.push(SimTime(2_000), 2, 0);
+        assert_eq!(q.stats().pushed_behind_window, 1);
+        assert_eq!(drain(&mut q), vec![(2_000, 2), (9_000, 1)]);
+    }
+
+    #[test]
+    fn only_occupied_buckets_hold_buffers() {
+        let mut q = CalendarQueue::with_geometry(10, 6);
+        for i in 0..2_000u64 {
+            q.push(SimTime(i * 37), i, 0u32);
+        }
+        for _ in 0..1_000 {
+            q.pop();
+        }
+        let occupied = q.occ.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        let allocated = q.wheel.iter().filter(|b| b.capacity() > 0).count();
+        assert_eq!(allocated, occupied, "an empty bucket kept its buffer");
+        drain(&mut q);
+        assert!(q.wheel.iter().all(|b| b.capacity() == 0));
+        assert!(q.spare.capacity() > 0, "the largest drained buffer is kept");
     }
 
     #[test]

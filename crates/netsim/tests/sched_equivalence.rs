@@ -27,6 +27,9 @@ impl RefHeap {
     fn pop(&mut self) -> Option<(u64, u64)> {
         self.heap.pop().map(|Reverse(k)| k)
     }
+    fn peek(&self) -> Option<(u64, u64)> {
+        self.heap.peek().map(|Reverse(k)| *k)
+    }
 }
 
 /// Spread a raw delta over the tiers the engine actually exercises:
@@ -157,6 +160,71 @@ proptest! {
             }
         }
         prop_assert_eq!(cal_dispatched, ref_dispatched);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The engine's access pattern (`Sim::dispatch_run`): pop one event,
+    /// take every further event at the same time through the
+    /// non-advancing `peek_current`, then let the "handler" schedule at
+    /// `now + δ` across all three tiers (δ = 0 included). The pop
+    /// sequence matches the reference heap, `peek_current` sees exactly
+    /// the heap's same-tick events, and no push lands behind the window.
+    #[test]
+    fn engine_access_pattern_matches_reference_heap(
+        seed in prop::collection::vec((0u8..3u8, 0u64..u64::MAX), 1..20),
+        steps in prop::collection::vec(
+            prop::collection::vec((0u8..4u8, 0u64..u64::MAX), 0..4),
+            1..150,
+        )
+    ) {
+        let mut cal: CalendarQueue<u64> = CalendarQueue::new();
+        let mut reference = RefHeap::default();
+        let mut seq = 0u64;
+        for &(class, raw) in &seed {
+            let at = scale_delta(class, raw);
+            cal.push(SimTime(at), seq, seq);
+            reference.push(at, seq);
+            seq += 1;
+        }
+        for pushes in &steps {
+            let got = cal.pop().map(|(t, s, _)| (t.as_nanos(), s));
+            prop_assert_eq!(got, reference.pop());
+            let Some((now, _)) = got else { break };
+            // Coalesce the same-tick run.
+            loop {
+                let next = reference.peek();
+                let peeked = cal.peek_current().map(|(t, s, _)| (t.as_nanos(), s));
+                match next {
+                    Some((t, _)) if t == now => {
+                        prop_assert_eq!(peeked, next);
+                        let got = cal.pop().map(|(t, s, _)| (t.as_nanos(), s));
+                        prop_assert_eq!(got, reference.pop());
+                    }
+                    _ => {
+                        prop_assert!(peeked.is_none_or(|(t, _)| t != now));
+                        break;
+                    }
+                }
+            }
+            // The handler schedules after the run.
+            for &(class, raw) in pushes {
+                let delta = if class == 3 { 0 } else { scale_delta(class, raw) };
+                cal.push(SimTime(now + delta), seq, seq);
+                reference.push(now + delta, seq);
+                seq += 1;
+            }
+        }
+        loop {
+            let got = cal.pop().map(|(t, s, _)| (t.as_nanos(), s));
+            prop_assert_eq!(got, reference.pop());
+            if got.is_none() {
+                break;
+            }
+        }
+        prop_assert_eq!(cal.stats().pushed_behind_window, 0);
     }
 }
 
